@@ -19,6 +19,10 @@ cargo test --workspace --offline -q
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "==> perfbench build and tests (the benchmark builds against the public API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> perf_report --smoke (schema gate)"
 cargo run --release --offline -p avfs-bench --bin perf_report -- --smoke
 

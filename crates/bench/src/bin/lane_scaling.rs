@@ -8,9 +8,9 @@
 //! enough for every commit.
 //!
 //! Unlike `thread_scaling`, the payoff here is per-core: wider lanes
-//! amortize instruction overhead over contiguous lane runs (one Horner
-//! kernel batch per level, word-wide quiet-bit scans, one claim
-//! `fetch_or` per lane run), so speedups show up even on a single CPU.
+//! amortize instruction overhead over contiguous lane runs (word-wide
+//! quiet-bit scans, one claim `fetch_or` per lane run), so speedups show
+//! up even on a single CPU.
 //!
 //! ```text
 //! cargo run --release -p avfs-bench --bin lane_scaling [-- --scale 0.01 --pairs 24]

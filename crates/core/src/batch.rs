@@ -88,7 +88,7 @@ impl CompileKey {
 /// of multi-megabyte artifacts, so scan cost is noise and zero
 /// dependencies beat an ordered map. Shared with the engine's
 /// per-voltage delay-table cache
-/// ([`CompiledNetlist::cached_delay_table`](crate::CompiledNetlist)).
+/// ([`CompiledNetlist::delay_table`](crate::CompiledNetlist)).
 #[derive(Debug)]
 pub(crate) struct Lru<K, V> {
     cap: usize,

@@ -22,13 +22,16 @@
 //! thin shim that compiles at construction and launches through here.
 
 use crate::batch::Lru;
-use crate::engine::DelayTable;
+use crate::phases;
 use crate::SimError;
 use avfs_check::Finding;
 use avfs_delay::model::DelayModel;
-use avfs_delay::op::OperatingPoint;
+use avfs_delay::op::{NormalizedPoint, OperatingPoint};
 use avfs_delay::TimingAnnotation;
+use avfs_netlist::library::Polarity;
 use avfs_netlist::{Levelization, Netlist, NodeId, NodeKind};
+use avfs_obs::Metrics;
+use avfs_waveform::PinDelays;
 use std::sync::{Arc, Mutex};
 
 /// Distinct uniform supply voltages whose fully-scaled delay tables the
@@ -114,11 +117,11 @@ pub struct CompiledNetlist {
     /// has an empty plan).
     pub(crate) level_plans: Vec<LevelPlan>,
     /// Per-voltage modified-delay tables, keyed by the supply's bit
-    /// pattern and built lazily on first launch at that voltage: the
+    /// pattern and built lazily on first use at that voltage: the
     /// delay-kernel initialization phase is a pure function of (artifact,
-    /// uniform supply), so repeated launches reuse it instead of
-    /// re-evaluating every `φ_V`/`φ_C` factor
-    /// (see [`CompiledNetlist::cached_delay_table`]).
+    /// uniform supply), so launches, schedule segments, Monte Carlo dice
+    /// and the STA oracle share it instead of re-evaluating every
+    /// `φ_V`/`φ_C` factor (see [`CompiledNetlist::delay_table`]).
     pub(crate) delay_tables: Mutex<Lru<u64, Arc<DelayTable>>>,
 }
 
@@ -280,6 +283,129 @@ impl CompiledNetlist {
     /// [`RunDiagnostics::clamped_loads`](crate::RunDiagnostics::clamped_loads)).
     pub fn clamped_loads(&self) -> usize {
         self.clamped_loads
+    }
+
+    /// The one place a voltage-scaled delay comes from — the paper's
+    /// online delay calculation `d' = d_nom · factor(φ_V, φ_C)`
+    /// (Sec. IV.A). Fills `out` with the pin delays of `level`'s gates,
+    /// gate-major in level order and addressed through the level plan's
+    /// `gate_offsets`, at the normalized supply `v_norm(node index)`.
+    /// Every factor passes through `corrupt` (an armed fault plan's
+    /// non-finite-kernel probe, or the identity) before the non-finite
+    /// guard. Returns how many scaled delays fell back to nominal.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Model`] when the delay model rejects a (cell, pin).
+    pub(crate) fn scale_level(
+        &self,
+        level: usize,
+        v_norm: impl Fn(usize) -> f64,
+        corrupt: impl Fn(f64) -> f64,
+        out: &mut Vec<PinDelays>,
+    ) -> Result<u64, SimError> {
+        out.clear();
+        let mut fallbacks = 0u64;
+        for &node_id in &self.level_plans[level].gate_nodes {
+            let NodeKind::Gate(cell_id) = self.netlist.node(node_id).kind() else {
+                unreachable!("level plans list gate nodes only");
+            };
+            let p = NormalizedPoint {
+                v: v_norm(node_id.index()),
+                c: self.c_norm[node_id.index()],
+            };
+            for (pin, d) in self.annotation.node_delays(node_id).iter().enumerate() {
+                let f_rise = self.model.factor(cell_id, pin, Polarity::Rise, p)?;
+                let f_fall = self.model.factor(cell_id, pin, Polarity::Fall, p)?;
+                out.push(PinDelays {
+                    rise: scale_or_fallback(d.rise, corrupt(f_rise), &mut fallbacks),
+                    fall: scale_or_fallback(d.fall, corrupt(f_fall), &mut fallbacks),
+                });
+            }
+        }
+        Ok(fallbacks)
+    }
+
+    /// Builds the fully-scaled delay table of one uniform normalized
+    /// supply: [`CompiledNetlist::scale_level`] for every level.
+    fn build_delay_table(
+        &self,
+        v_norm: f64,
+        metrics: Option<&Metrics>,
+    ) -> Result<DelayTable, SimError> {
+        let depth = self.levels.depth();
+        let mut per_level: Vec<Vec<PinDelays>> = Vec::with_capacity(depth);
+        let mut fallbacks_per_level: Vec<u64> = Vec::with_capacity(depth);
+        for level in 0..depth {
+            let mut buf = Vec::new();
+            fallbacks_per_level.push(self.scale_level(level, |_| v_norm, |f| f, &mut buf)?);
+            per_level.push(buf);
+        }
+        if let Some(m) = metrics {
+            let pins: usize = per_level.iter().map(Vec::len).sum();
+            m.add(phases::ENGINE_KERNEL_EVALS, 2 * pins as u64);
+            m.add(phases::ENGINE_DELAY_TABLE_BUILDS, 1);
+        }
+        Ok(DelayTable {
+            per_level,
+            fallbacks_per_level,
+        })
+    }
+
+    /// The artifact's delay table for one uniform normalized supply
+    /// (keyed by the supply's bit pattern), built on first use and kept
+    /// in a bounded LRU. A failed build caches nothing; a model panic
+    /// propagates to the caller. The build runs outside the cache lock,
+    /// so a panicking model never poisons it.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Model`] when the delay model rejects a (cell, pin).
+    pub(crate) fn delay_table(
+        &self,
+        v_norm: f64,
+        metrics: Option<&Metrics>,
+    ) -> Result<Arc<DelayTable>, SimError> {
+        let key = v_norm.to_bits();
+        if let Ok(mut cache) = self.delay_tables.lock() {
+            if let Some(hit) = cache.get(&key) {
+                return Ok(Arc::clone(hit));
+            }
+        }
+        let table = Arc::new(self.build_delay_table(v_norm, metrics)?);
+        if let Ok(mut cache) = self.delay_tables.lock() {
+            cache.insert(key, Arc::clone(&table));
+        }
+        Ok(table)
+    }
+}
+
+/// A fully-scaled per-level delay table for one uniform normalized
+/// supply — the entire delay-kernel initialization phase of a launch,
+/// materialized. `per_level[level]` holds one [`PinDelays`] per fanin
+/// pin of the level's gates, addressed through the level plan's
+/// `gate_offsets`.
+#[derive(Debug)]
+pub(crate) struct DelayTable {
+    pub(crate) per_level: Vec<Vec<PinDelays>>,
+    /// Non-finite scaled delays that fell back to nominal while the
+    /// table was built, per level — replayed into
+    /// [`RunDiagnostics::kernel_fallbacks`](crate::RunDiagnostics::kernel_fallbacks)
+    /// for every live voltage group the table serves, so cached and
+    /// lazily filled groups report identical diagnostics.
+    pub(crate) fallbacks_per_level: Vec<u64>,
+}
+
+/// The non-finite guard of the online delay calculation: a non-finite
+/// scaled delay falls back to the nominal delay and is counted in
+/// [`RunDiagnostics::kernel_fallbacks`](crate::RunDiagnostics::kernel_fallbacks).
+fn scale_or_fallback(nominal: f64, factor: f64, fallbacks: &mut u64) -> f64 {
+    let scaled = nominal * factor;
+    if scaled.is_finite() {
+        scaled.max(0.0)
+    } else {
+        *fallbacks += 1;
+        nominal.max(0.0)
     }
 }
 

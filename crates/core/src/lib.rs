@@ -9,10 +9,10 @@
 //! * **horizontal plane** — data parallelism over *slots*, each slot being
 //!   one (stimulus waveform, operating point) assignment; the grid trades
 //!   off stimuli against operating points arbitrarily;
-//! * **online delay calculation** — every gate evaluation scales its
-//!   nominal SDF delays with the delay-kernel factor
-//!   `1 + f(φ_V(v), φ_C(c))` fetched from the shared coefficient table
-//!   (Sec. IV.A), so per-instance timing never needs to be stored.
+//! * **online delay calculation** — every gate scales its nominal SDF
+//!   delays with the delay-kernel factor `1 + f(φ_V(v), φ_C(c))` from
+//!   the shared coefficient table (Sec. IV.A), resolved once per supply
+//!   into per-level delay tables that every slot at that supply reads.
 //!
 //! Memory is organized as a structure-of-arrays waveform arena indexed by
 //! `(slot, net)` — the GPU global-memory layout of Holst et al. \[25\] —

@@ -14,9 +14,10 @@ pub const ENGINE_RUN: &str = "engine/run";
 /// Level 0 of each batch: expanding pattern pairs into stimuli waveforms.
 pub const ENGINE_STIMULI: &str = "engine/stimuli";
 
-/// Per-(level, voltage group) delay-kernel evaluation — the
-/// initialization phase of the online delay calculation (paper Sec.
-/// IV.A). One call per simulated level.
+/// Delay resolution — the initialization phase of the online delay
+/// calculation (paper Sec. IV.A): one call per batch for the
+/// per-voltage table fetches (and first-use builds), plus one per
+/// simulated level for lazy fills and Monte Carlo derates.
 pub const ENGINE_DELAY_KERNEL: &str = "engine/delay_kernel";
 
 /// Per-level gate evaluation: the waveform-processing loop across the
@@ -53,8 +54,10 @@ pub const ENGINE_PHASES: [&str; 6] = [
     ENGINE_ANALYSIS,
 ];
 
-/// Delay-kernel factor evaluations (two per annotated pin per live
-/// voltage group per level: rise and fall).
+/// Delay-kernel factor evaluations, rise and fall: two per annotated
+/// pin per level of every per-voltage table built, plus two per pin
+/// per schedule segment of every lazily filled live voltage group and
+/// level.
 pub const ENGINE_KERNEL_EVALS: &str = "engine.kernel_evals";
 
 /// Circuit levels processed, summed over batches and retry rounds.
@@ -106,13 +109,6 @@ pub const ENGINE_LANES_WIDTH: &str = "engine.lanes_width";
 /// groups × gates`). A group stays scheduled while any of its lanes is
 /// live; quarantined lanes are masked out of it rather than removed.
 pub const ENGINE_LANES_GROUPS: &str = "engine.lanes_groups";
-
-/// Lane-batched delay-kernel calls: `factor_lanes` invocations that
-/// evaluated all live voltage groups of a level in one hand-unrolled
-/// Horner pass (two per annotated pin per level: rise and fall). Falls
-/// to 0 for levels where a kernel panic forced the scalar per-group
-/// fallback.
-pub const ENGINE_LANES_KERNEL_BATCHES: &str = "engine.lanes_kernel_batches";
 
 /// Work-stealing chunk grabs beyond each worker's first in a level,
 /// summed over the run — how often the atomic cursor rebalanced load
@@ -181,11 +177,10 @@ pub const ENGINE_CACHE_OCCUPANCY: &str = "engine.cache_occupancy";
 /// stays at the number of distinct supplies.
 pub const ENGINE_DELAY_TABLE_BUILDS: &str = "engine.delay_table_builds";
 
-/// Per-voltage delay-table cache hits — batches whose entire kernel
-/// initialization was served from a
-/// [`CompiledNetlist`](crate::CompiledNetlist)'s resident tables
-/// (uniform assignments, no armed fault plan) instead of being
-/// re-evaluated.
+/// Per-voltage delay-table cache hits — batches whose every voltage
+/// group read a [`CompiledNetlist`](crate::CompiledNetlist)'s
+/// per-voltage tables (uniform or scheduled supplies, Monte Carlo dice
+/// included, no armed fault plan) instead of filling levels lazily.
 pub const ENGINE_DELAY_TABLE_HITS: &str = "engine.delay_table_hits";
 
 /// Total schedule segments across a launch's slots (1 per static slot).

@@ -9,12 +9,11 @@
 //!   delay at every gate.
 //! * [`analyze`] / [`crosscheck`] — the per-pin-transition oracle from
 //!   `avfs-sta`, run over the *voltage-scaled* delay matrix of one
-//!   operating point. [`scaled_graph`] derives that matrix with the
-//!   exact factor/guard calls the engine's delay-kernel initialization
-//!   makes (`scale_or_fallback` included), so the oracle's bound and
-//!   the simulator's arrivals rest on one shared delay matrix — the
-//!   premise of the bitwise `sim ≤ sta` argument in `avfs-sta`'s crate
-//!   docs.
+//!   operating point. [`scaled_graph`] reads that matrix from the same
+//!   per-voltage delay table a simulator launch at that supply reads,
+//!   so the oracle's bound and the simulator's arrivals rest on one
+//!   shared delay matrix — the premise of the bitwise `sim ≤ sta`
+//!   argument in `avfs-sta`'s crate docs.
 //!
 //! The cross-check compares a finished uniform-voltage [`SimRun`]
 //! against the bound per supply voltage and renders the `AVC-T` finding
@@ -23,17 +22,14 @@
 //! engines), structural blind spots are `AVC-T003`/`AVC-T004` (Warn).
 
 use crate::compile::CompiledNetlist;
-use crate::engine::scale_or_fallback;
 use crate::results::SimRun;
 use crate::SimError;
 use avfs_check::{Finding, Severity, StaRow, StaSection};
-use avfs_delay::op::{NormalizedPoint, OperatingPoint};
+use avfs_delay::op::OperatingPoint;
 use avfs_delay::TimingAnnotation;
-use avfs_netlist::library::Polarity;
-use avfs_netlist::{Levelization, Netlist, NodeId, NodeKind};
+use avfs_netlist::{Levelization, Netlist, NodeId};
 use avfs_sta::crosscheck::{bound_finding, structure_findings, DEFAULT_EPSILON_PS};
 use avfs_sta::TimingGraph;
-use avfs_waveform::PinDelays;
 
 /// The result of a longest-path analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,12 +88,10 @@ pub fn longest_path(
 }
 
 /// Builds the per-pin-transition [`TimingGraph`] of one compiled
-/// artifact at one supply voltage. The delay matrix is derived gate by
-/// gate with the *same* model calls the engine's delay-kernel
-/// initialization performs — same normalized point (`φ_V` of the
-/// clamped supply, the artifact's per-node `φ_C`), same
-/// [`Polarity`]-split factors, same non-finite fallback guard — so a
-/// graph built here and a simulator launch at the same voltage price
+/// artifact at one supply voltage. Gate arcs are read from the
+/// artifact's delay table at the clamped supply (`φ_V` of the supply,
+/// the artifact's per-node `φ_C`) — the table a simulator launch at the
+/// same voltage reads — so a graph built here and that launch price
 /// every arc bit-identically. Non-gate nodes keep their nominal
 /// annotation delays (zero for the repo's annotations: the simulator
 /// copies primary outputs at zero cost).
@@ -114,30 +108,18 @@ pub fn scaled_graph(compiled: &CompiledNetlist, voltage: f64) -> Result<TimingGr
     let v_norm = space
         .normalize_clamped(OperatingPoint::new(voltage, c_min))
         .v;
-    let mut fb = 0u64;
-    let mut delays: Vec<Vec<PinDelays>> = Vec::with_capacity(compiled.netlist.num_nodes());
-    for (id, node) in compiled.netlist.iter() {
-        let nominal = compiled.annotation.node_delays(id);
-        let pins = match node.kind() {
-            NodeKind::Gate(cell_id) => {
-                let p = NormalizedPoint {
-                    v: v_norm,
-                    c: compiled.c_norm[id.index()],
-                };
-                let mut buf = Vec::with_capacity(nominal.len());
-                for (pin, d) in nominal.iter().enumerate() {
-                    let f_rise = compiled.model.factor(cell_id, pin, Polarity::Rise, p)?;
-                    let f_fall = compiled.model.factor(cell_id, pin, Polarity::Fall, p)?;
-                    buf.push(PinDelays {
-                        rise: scale_or_fallback(d.rise, f_rise, &mut fb),
-                        fall: scale_or_fallback(d.fall, f_fall, &mut fb),
-                    });
-                }
-                buf
-            }
-            _ => nominal.to_vec(),
-        };
-        delays.push(pins);
+    let table = compiled.delay_table(v_norm, None)?;
+    let mut delays: Vec<Vec<_>> = compiled
+        .netlist
+        .iter()
+        .map(|(id, _)| compiled.annotation.node_delays(id).to_vec())
+        .collect();
+    for (plan, scaled) in compiled.level_plans.iter().zip(&table.per_level) {
+        for (&node, &off) in plan.gate_nodes.iter().zip(&plan.gate_offsets) {
+            let pins = &mut delays[node.index()];
+            let n = pins.len();
+            pins.copy_from_slice(&scaled[off..off + n]);
+        }
     }
     Ok(
         TimingGraph::new(&compiled.netlist, &compiled.levels, delays)
@@ -337,6 +319,7 @@ mod tests {
     use avfs_atpg::PatternSet;
     use avfs_delay::{ParameterSpace, StaticModel};
     use avfs_netlist::{CellLibrary, NetlistBuilder, NodeKind};
+    use avfs_waveform::PinDelays;
     use std::sync::Arc;
 
     #[test]

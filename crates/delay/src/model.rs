@@ -44,39 +44,6 @@ pub trait DelayModel: Send + Sync + fmt::Debug {
         p: NormalizedPoint,
     ) -> Result<f64, DelayError>;
 
-    /// Lane-batched [`DelayModel::factor`]: `out[k] = factor(points[k])`
-    /// for a whole lane group sharing one (cell, pin, polarity).
-    ///
-    /// The default implementation is the scalar loop, so every model keeps
-    /// its exact per-point semantics (including panics and errors surfacing
-    /// at the same point index). Models with a vectorizable kernel override
-    /// this — [`PolynomialModel`] batches the nested Horner reduction
-    /// through unrolled FMA blocks while staying bitwise identical to the
-    /// scalar path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`DelayError`] encountered, leaving later lanes
-    /// unwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points.len() != out.len()`.
-    fn factor_lanes(
-        &self,
-        cell: CellId,
-        pin: usize,
-        polarity: Polarity,
-        points: &[NormalizedPoint],
-        out: &mut [f64],
-    ) -> Result<(), DelayError> {
-        assert_eq!(points.len(), out.len(), "lane output length mismatch");
-        for (p, o) in points.iter().zip(out.iter_mut()) {
-            *o = self.factor(cell, pin, polarity, *p)?;
-        }
-        Ok(())
-    }
-
     /// A short human-readable model name for reports.
     fn name(&self) -> &str;
 
@@ -181,27 +148,6 @@ impl DelayModel for PolynomialModel {
             evals.incr();
         }
         Ok(1.0 + d)
-    }
-
-    #[inline]
-    fn factor_lanes(
-        &self,
-        cell: CellId,
-        pin: usize,
-        polarity: Polarity,
-        points: &[NormalizedPoint],
-        out: &mut [f64],
-    ) -> Result<(), DelayError> {
-        self.table
-            .deviation_lanes(cell, pin, polarity, points, out)?;
-        for o in out.iter_mut() {
-            *o += 1.0;
-        }
-        if let Some(evals) = &self.evals {
-            // Same total as points.len() scalar factor() calls.
-            evals.add(points.len() as u64);
-        }
-        Ok(())
     }
 
     fn name(&self) -> &str {
@@ -431,73 +377,20 @@ mod tests {
     }
 
     #[test]
-    fn polynomial_factor_lanes_matches_scalar_bitwise() {
-        let mut table = CoefficientTable::new(1, 2);
-        let coeffs: Vec<f64> = (0..9).map(|k| 0.017 * k as f64 - 0.05).collect();
-        let s = SurfacePolynomial::new(2, coeffs).unwrap();
-        table
-            .insert(CellId::from_index(0), &[[s.clone(), s]])
-            .unwrap();
-        let m = PolynomialModel::new(table, space());
-        let cell = CellId::from_index(0);
-        for len in [0usize, 1, 4, 5, 9] {
-            let points: Vec<NormalizedPoint> = (0..len)
-                .map(|k| NormalizedPoint {
-                    v: 0.04 + 0.09 * k as f64,
-                    c: 0.93 - 0.08 * k as f64,
-                })
-                .collect();
-            let mut out = vec![0.0; len];
-            m.factor_lanes(cell, 0, Polarity::Fall, &points, &mut out)
-                .unwrap();
-            for (k, &p) in points.iter().enumerate() {
-                let scalar = m.factor(cell, 0, Polarity::Fall, p).unwrap();
-                assert_eq!(out[k].to_bits(), scalar.to_bits());
-            }
-        }
-        // Missing cell propagates from the batch path too.
-        let mut out = [0.0; 1];
-        assert!(m
-            .factor_lanes(
-                CellId::from_index(1),
-                0,
-                Polarity::Rise,
-                &[NormalizedPoint { v: 0.5, c: 0.5 }],
-                &mut out
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn metered_lane_counts_match_scalar_counts() {
+    fn metered_model_counts_every_factor_call() {
         use avfs_obs::Metrics;
         let mut table = CoefficientTable::new(1, 1);
         let s = SurfacePolynomial::zero(1);
         table
             .insert(CellId::from_index(0), &[[s.clone(), s]])
             .unwrap();
-        let metrics = Metrics::new("lane-meter");
+        let metrics = Metrics::new("meter");
         let m = PolynomialModel::metered(table, space(), metrics.counter("delay.kernel_evals"));
-        let cell = CellId::from_index(0);
-        let points = [NormalizedPoint { v: 0.2, c: 0.3 }; 7];
-        let mut out = [0.0; 7];
-        m.factor_lanes(cell, 0, Polarity::Rise, &points, &mut out)
-            .unwrap();
-        for &p in &points {
-            m.factor(cell, 0, Polarity::Rise, p).unwrap();
+        for _ in 0..7 {
+            m.factor(CellId::from_index(0), 0, Polarity::Rise, mid())
+                .unwrap();
         }
-        // Batched and scalar paths meter one eval per lane each.
-        assert_eq!(metrics.counter("delay.kernel_evals").get(), 14);
-    }
-
-    #[test]
-    fn default_factor_lanes_is_the_scalar_loop() {
-        let m = StaticModel::new(space());
-        let points = [NormalizedPoint { v: 0.1, c: 0.9 }; 5];
-        let mut out = [0.0; 5];
-        m.factor_lanes(CellId::from_index(0), 0, Polarity::Rise, &points, &mut out)
-            .unwrap();
-        assert_eq!(out, [1.0; 5]);
+        assert_eq!(metrics.counter("delay.kernel_evals").get(), 7);
     }
 
     #[test]

@@ -183,35 +183,6 @@ impl CoefficientTable {
             self.order, beta, p.v, p.c,
         ))
     }
-
-    /// Lane-batched [`CoefficientTable::deviation`]: evaluates the same
-    /// surface at every point in one call, `out[k] = f(points[k])`.
-    ///
-    /// One offset computation is amortized over the whole lane group and the
-    /// Horner reduction runs through the unrolled FMA kernel
-    /// ([`avfs_regression::poly::eval_horner_lanes`]); each lane is bitwise
-    /// identical to the scalar path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CoefficientTable::coefficients`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points.len() != out.len()`.
-    #[inline]
-    pub fn deviation_lanes(
-        &self,
-        cell: CellId,
-        pin: usize,
-        polarity: Polarity,
-        points: &[crate::op::NormalizedPoint],
-        out: &mut [f64],
-    ) -> Result<(), DelayError> {
-        let beta = self.coefficients(cell, pin, polarity)?;
-        crate::polynomial::eval_lanes_with(self.order, beta, points, out);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -241,41 +212,6 @@ mod tests {
         assert!((t.deviation(cell, 0, Polarity::Fall, p).unwrap() - 0.2).abs() < 1e-12);
         assert!((t.deviation(cell, 1, Polarity::Rise, p).unwrap() - 0.3).abs() < 1e-12);
         assert!((t.deviation(cell, 1, Polarity::Fall, p).unwrap() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn deviation_lanes_matches_scalar_bitwise() {
-        let mut t = CoefficientTable::new(2, 2);
-        let coeffs: Vec<f64> = (0..9).map(|k| 0.011 * k as f64 - 0.03).collect();
-        let s = SurfacePolynomial::new(2, coeffs).unwrap();
-        t.insert(CellId::from_index(0), &[[s.clone(), s]]).unwrap();
-        let cell = CellId::from_index(0);
-        for len in [0usize, 1, 3, 4, 5, 8, 11] {
-            let points: Vec<NormalizedPoint> = (0..len)
-                .map(|k| NormalizedPoint {
-                    v: 0.02 + 0.08 * k as f64,
-                    c: 0.9 - 0.07 * k as f64,
-                })
-                .collect();
-            let mut out = vec![0.0; len];
-            t.deviation_lanes(cell, 0, Polarity::Rise, &points, &mut out)
-                .unwrap();
-            for (k, &p) in points.iter().enumerate() {
-                let scalar = t.deviation(cell, 0, Polarity::Rise, p).unwrap();
-                assert_eq!(out[k].to_bits(), scalar.to_bits());
-            }
-        }
-        // Errors propagate before any lane is touched.
-        let mut out = [0.0; 2];
-        assert!(t
-            .deviation_lanes(
-                CellId::from_index(1),
-                0,
-                Polarity::Rise,
-                &[NormalizedPoint { v: 0.5, c: 0.5 }; 2],
-                &mut out
-            )
-            .is_err());
     }
 
     #[test]

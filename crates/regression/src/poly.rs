@@ -136,80 +136,6 @@ pub fn eval_horner(n: usize, beta: &[f64], v: f64, c: f64) -> f64 {
     acc
 }
 
-/// Lane-batched nested Horner evaluation: `out[k] = f(v[k], c[k])` for a
-/// whole lane group in one call.
-///
-/// The loop body is hand-unrolled into [`HORNER_LANE_BLOCK`]-wide blocks of
-/// **independent** fused-multiply-add accumulator chains (`f64x4`-style):
-/// the four chains share no data, so they fill the FMA pipeline (and let
-/// the compiler pack them into vector registers) without reordering any
-/// per-lane arithmetic. Each lane performs *exactly* the operation sequence
-/// of [`eval_horner`] — same inner reduction over `c`, same outer reduction
-/// over `v`, in the same order — so the batched result is **bitwise
-/// identical** to the scalar result, which is what lets the simulator's
-/// lane-packed execution path stay bit-for-bit reproducible against the
-/// scalar reference:
-///
-/// ```
-/// use avfs_regression::poly::{eval_horner, eval_horner_lanes};
-///
-/// let beta = [1.0, 2.0, 3.0, 4.0]; // f(v,c) = 1 + 2c + 3v + 4vc
-/// let v = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
-/// let c = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4];
-/// let mut out = [0.0; 6];
-/// eval_horner_lanes(1, &beta, &v, &c, &mut out);
-/// for k in 0..6 {
-///     // Bitwise equality, not approximate equality.
-///     assert_eq!(out[k].to_bits(), eval_horner(1, &beta, v[k], c[k]).to_bits());
-/// }
-/// ```
-///
-/// # Panics
-///
-/// Panics if `v`, `c` and `out` disagree in length; debug assertions also
-/// check `beta.len()` like [`eval_horner`].
-pub fn eval_horner_lanes(n: usize, beta: &[f64], v: &[f64], c: &[f64], out: &mut [f64]) {
-    assert_eq!(v.len(), c.len(), "lane slice length mismatch");
-    assert_eq!(v.len(), out.len(), "lane output length mismatch");
-    debug_assert!(beta.len() >= (n + 1) * (n + 1));
-    let width = n + 1;
-    let mut k = 0;
-    while k + HORNER_LANE_BLOCK <= v.len() {
-        let (v0, v1, v2, v3) = (v[k], v[k + 1], v[k + 2], v[k + 3]);
-        let (c0, c1, c2, c3) = (c[k], c[k + 1], c[k + 2], c[k + 3]);
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for i in (0..width).rev() {
-            let row = &beta[i * width..(i + 1) * width];
-            let (mut r0, mut r1, mut r2, mut r3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for &b in row.iter().rev() {
-                // Four independent FMA chains — no cross-lane data flow.
-                r0 = r0.mul_add(c0, b);
-                r1 = r1.mul_add(c1, b);
-                r2 = r2.mul_add(c2, b);
-                r3 = r3.mul_add(c3, b);
-            }
-            a0 = a0.mul_add(v0, r0);
-            a1 = a1.mul_add(v1, r1);
-            a2 = a2.mul_add(v2, r2);
-            a3 = a3.mul_add(v3, r3);
-        }
-        out[k] = a0;
-        out[k + 1] = a1;
-        out[k + 2] = a2;
-        out[k + 3] = a3;
-        k += HORNER_LANE_BLOCK;
-    }
-    // Partial-tail lanes fall back to the scalar kernel (identical math).
-    while k < v.len() {
-        out[k] = eval_horner(n, beta, v[k], c[k]);
-        k += 1;
-    }
-}
-
-/// Unroll width of [`eval_horner_lanes`]: four independent f64 accumulator
-/// chains per block, matching one AVX2 `f64x4` vector register.
-pub const HORNER_LANE_BLOCK: usize = 4;
-
 /// Naive power-sum evaluation, kept as a cross-check oracle for the Horner
 /// kernel (and used by tests/benches only).
 pub fn eval_naive(n: usize, beta: &[f64], v: f64, c: f64) -> f64 {
@@ -278,57 +204,7 @@ mod tests {
         assert_eq!(eval_horner(1, &beta, 2.0, 3.0), 37.0);
     }
 
-    #[test]
-    fn lanes_match_scalar_bitwise_including_tails() {
-        let beta: Vec<f64> = (0..16).map(|k| (k as f64) * 0.07 - 0.5).collect();
-        // Every length from 0 to 11 covers empty, partial-tail and
-        // multi-block cases around the unroll width of 4.
-        for len in 0..12usize {
-            let v: Vec<f64> = (0..len).map(|k| 0.05 + 0.09 * k as f64).collect();
-            let c: Vec<f64> = (0..len).map(|k| 0.95 - 0.08 * k as f64).collect();
-            let mut out = vec![0.0; len];
-            eval_horner_lanes(3, &beta, &v, &c, &mut out);
-            for k in 0..len {
-                let scalar = eval_horner(3, &beta, v[k], c[k]);
-                assert_eq!(
-                    out[k].to_bits(),
-                    scalar.to_bits(),
-                    "lane {k} of {len} diverged from scalar"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "lane slice length mismatch")]
-    fn lanes_reject_mismatched_inputs() {
-        let mut out = [0.0; 2];
-        eval_horner_lanes(1, &[0.0; 4], &[0.1, 0.2], &[0.3], &mut out);
-    }
-
     proptest! {
-        #[test]
-        fn lanes_match_scalar_bitwise_random(
-            n in 1usize..=4,
-            len in 0usize..10,
-            seed in any::<u64>(),
-        ) {
-            let terms = (n + 1) * (n + 1);
-            let mut state = seed | 1;
-            let mut next = || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-            };
-            let beta: Vec<f64> = (0..terms).map(|_| next()).collect();
-            let v: Vec<f64> = (0..len).map(|_| next()).collect();
-            let c: Vec<f64> = (0..len).map(|_| next()).collect();
-            let mut out = vec![0.0; len];
-            eval_horner_lanes(n, &beta, &v, &c, &mut out);
-            for k in 0..len {
-                prop_assert_eq!(out[k].to_bits(), eval_horner(n, &beta, v[k], c[k]).to_bits());
-            }
-        }
-
         #[test]
         fn horner_matches_naive(
             n in 1usize..=5,

@@ -305,7 +305,7 @@ impl PinDelays {
     }
 }
 
-/// Reusable working memory for [`evaluate_gate_scratch`].
+/// Reusable working memory for [`evaluate_gate_bounded_raw`].
 ///
 /// One instance per simulation worker avoids the per-gate heap traffic
 /// that would otherwise dominate the oblivious (every-gate-every-slot)
@@ -348,27 +348,12 @@ pub fn evaluate_gate(
     delays: &[PinDelays],
     eval: impl Fn(&[bool]) -> bool,
 ) -> Waveform {
-    evaluate_gate_scratch(inputs, delays, eval, &mut GateScratch::new())
-}
-
-/// [`evaluate_gate`] with caller-provided scratch buffers (the hot-loop
-/// form used by the engine).
-///
-/// # Panics
-///
-/// Panics if `inputs.len() != delays.len()` or either is empty.
-pub fn evaluate_gate_scratch<W: WaveformRead>(
-    inputs: &[W],
-    delays: &[PinDelays],
-    eval: impl Fn(&[bool]) -> bool,
-    scratch: &mut GateScratch,
-) -> Waveform {
-    evaluate_gate_bounded_scratch(inputs, delays, eval, scratch, usize::MAX)
+    evaluate_gate_bounded_scratch(inputs, delays, eval, &mut GateScratch::new(), usize::MAX)
         .expect("unbounded evaluation cannot overflow")
 }
 
-/// [`evaluate_gate_scratch`] with a hard cap on *scheduled* output
-/// transitions — the bounded-arena form used by the fault-isolated engine.
+/// [`evaluate_gate`] with caller-provided scratch buffers and a hard cap
+/// on *scheduled* output transitions — the bounded-arena form.
 ///
 /// The cap is enforced on the peak size of the pending-transition schedule,
 /// not just the final count: like the GPU original, which allocates a fixed
@@ -391,7 +376,12 @@ pub fn evaluate_gate_bounded_scratch<W: WaveformRead>(
     scratch: &mut GateScratch,
     cap: usize,
 ) -> Result<Waveform, CapacityOverflow> {
-    let initial = evaluate_gate_bounded_raw(inputs, delays, eval, scratch, cap)?;
+    assert_eq!(
+        inputs.len(),
+        delays.len(),
+        "one PinDelays entry per input pin required"
+    );
+    let initial = evaluate_gate_bounded_raw(inputs, |_, pin| delays[pin], eval, scratch, cap)?;
     let out = Waveform {
         initial,
         // Exact-size copy out of the reusable buffer.
@@ -407,25 +397,28 @@ pub fn evaluate_gate_bounded_scratch<W: WaveformRead>(
 /// [`Waveform`] — the form the engine uses to write gate outputs directly
 /// into the waveform arena.
 ///
+/// The pin-to-output delay charged to an input event at time `t` on pin
+/// `p` is `delay(t, p)`. A static gate passes a lookup that ignores the
+/// time; a gate under a piecewise supply schedule selects the delay of
+/// the segment the *cause* (input event) time falls in — the voltage in
+/// effect while the gate propagates the event is the one at the moment
+/// the input switches, the first-order approximation the per-segment
+/// delay tables make.
+///
 /// # Errors
 ///
 /// Returns [`CapacityOverflow`] when the schedule would exceed `cap`.
 ///
 /// # Panics
 ///
-/// Panics if `inputs.len() != delays.len()` or either is empty.
+/// Panics if `inputs` is empty.
 pub fn evaluate_gate_bounded_raw<W: WaveformRead>(
     inputs: &[W],
-    delays: &[PinDelays],
+    delay: impl Fn(f64, usize) -> PinDelays,
     eval: impl Fn(&[bool]) -> bool,
     scratch: &mut GateScratch,
     cap: usize,
 ) -> Result<bool, CapacityOverflow> {
-    assert_eq!(
-        inputs.len(),
-        delays.len(),
-        "one PinDelays entry per input pin required"
-    );
     assert!(!inputs.is_empty(), "gate must have at least one input");
 
     let values = &mut scratch.values;
@@ -468,7 +461,7 @@ pub fn evaluate_gate_bounded_raw<W: WaveformRead>(
         if new_out == scheduled_value {
             continue;
         }
-        let tt = t + delays[pin].for_output(new_out);
+        let tt = t + delay(t, pin).for_output(new_out);
         // Inertial cancellation: the new cause overtakes any scheduled
         // transition at tt or later.
         while let Some(&last) = sched.last() {
@@ -492,111 +485,6 @@ pub fn evaluate_gate_bounded_raw<W: WaveformRead>(
     Ok(initial_out)
 }
 
-/// [`evaluate_gate_bounded_raw`] over a *segmented* delay timeline — the
-/// piecewise-operating-point form used by the AVFS scenario engine.
-///
-/// The simulation window is split into `boundaries.len() + 1` *segments*
-/// by the strictly increasing `boundaries` (segment start times in ps,
-/// excluding the implicit segment 0 start at −∞). An input event at time
-/// `t` belongs to segment `boundaries.partition_point(|b| *b <= t)` — an
-/// event **exactly at** a boundary belongs to the *later* segment, the
-/// convention under which a supply step applied at the launch instant of
-/// a transition already sees the new voltage. The pin-to-output delay
-/// charged to that event is `delays(segment, pin)`.
-///
-/// Segment selection is by the *cause* (input event) time, not the
-/// resulting output time: the voltage in effect while the gate
-/// propagates the event is the one at the moment the input switches, the
-/// same first-order approximation the per-segment delay tables make.
-///
-/// With empty `boundaries` this performs the identical operation
-/// sequence as [`evaluate_gate_bounded_raw`] with `delays(0, ·)` — the
-/// single-segment identity the scenario layer's constant-schedule ≡
-/// static-run guarantee rests on.
-///
-/// # Errors
-///
-/// Returns [`CapacityOverflow`] when the schedule would exceed `cap`.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-pub fn evaluate_gate_bounded_raw_segmented<W: WaveformRead>(
-    inputs: &[W],
-    boundaries: &[f64],
-    delays: impl Fn(usize, usize) -> PinDelays,
-    eval: impl Fn(&[bool]) -> bool,
-    scratch: &mut GateScratch,
-    cap: usize,
-) -> Result<bool, CapacityOverflow> {
-    assert!(!inputs.is_empty(), "gate must have at least one input");
-
-    let values = &mut scratch.values;
-    values.clear();
-    values.extend(inputs.iter().map(|w| w.initial_value()));
-    let initial_out = eval(values);
-
-    let sched = &mut scratch.sched;
-    sched.clear();
-
-    // Fast path: quiescent inputs produce a constant output.
-    if inputs.iter().all(|w| w.transitions().is_empty()) {
-        return Ok(initial_out);
-    }
-
-    let mut scheduled_value = initial_out;
-
-    // K-way merge over the input transition lists (identical to
-    // `evaluate_gate_bounded_raw` except for the delay lookup).
-    let cursors = &mut scratch.cursors;
-    cursors.clear();
-    cursors.resize(inputs.len(), 0);
-    loop {
-        let mut best: Option<(f64, usize)> = None;
-        for (p, w) in inputs.iter().enumerate() {
-            if let Some(&t) = w.transitions().get(cursors[p]) {
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, p));
-                }
-            }
-        }
-        let Some((t, pin)) = best else { break };
-        cursors[pin] += 1;
-        values[pin] = !values[pin];
-
-        let new_out = eval(values);
-        if new_out == scheduled_value {
-            continue;
-        }
-        let segment = boundaries.partition_point(|b| *b <= t);
-        let tt = t + delays(segment, pin).for_output(new_out);
-        while let Some(&last) = sched.last() {
-            if last >= tt {
-                sched.pop();
-                scheduled_value = !scheduled_value;
-            } else {
-                break;
-            }
-        }
-        if scheduled_value != new_out {
-            if sched.len() >= cap {
-                return Err(CapacityOverflow { capacity: cap });
-            }
-            sched.push(tt);
-            scheduled_value = new_out;
-        }
-    }
-
-    debug_assert!(sched.iter().all(|t| t.is_finite()) && sched.windows(2).all(|w| w[0] < w[1]));
-    Ok(initial_out)
-}
-
-/// Propagates a waveform through an identity stage with per-polarity delay
-/// (used for primary-output observation nodes).
-pub fn delay_waveform(input: &Waveform, delays: PinDelays) -> Waveform {
-    evaluate_gate(&[input], &[delays], |v| v[0])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,6 +492,11 @@ mod tests {
 
     fn wf(initial: bool, times: &[f64]) -> Waveform {
         Waveform::with_transitions(initial, times.to_vec()).unwrap()
+    }
+
+    /// A buffer stage with per-polarity delay.
+    fn buffer(input: &Waveform, delays: PinDelays) -> Waveform {
+        evaluate_gate(&[input], &[delays], |v| v[0])
     }
 
     #[test]
@@ -657,7 +550,7 @@ mod tests {
     #[test]
     fn buffer_shifts_by_delay() {
         let input = wf(false, &[100.0, 150.0]);
-        let out = delay_waveform(
+        let out = buffer(
             &input,
             PinDelays {
                 rise: 7.0,
@@ -733,7 +626,7 @@ mod tests {
         // 3-wide input pulse through a buffer with rise 10 / fall 5:
         // rise lands at t+10, fall at t+3+5=t+8 → overtakes → silence.
         let input = wf(false, &[100.0, 103.0]);
-        let out = delay_waveform(
+        let out = buffer(
             &input,
             PinDelays {
                 rise: 10.0,
@@ -796,26 +689,18 @@ mod tests {
     }
 
     #[test]
-    fn segmented_boundary_event_uses_later_segment() {
-        // INV with a slow segment 0 (delay 5) and a fast segment 1
-        // (delay 1) starting at t = 10.
-        let seg_delays = [
-            PinDelays {
-                rise: 5.0,
-                fall: 5.0,
-            },
-            PinDelays {
-                rise: 1.0,
-                fall: 1.0,
-            },
-        ];
+    fn delay_lookup_sees_the_cause_time() {
+        // INV that is slow (delay 5) for events before t = 10 and fast
+        // (delay 1) from then on.
         let mut scratch = GateScratch::new();
         let mut run = |event_t: f64| {
             let input = wf(false, &[event_t]);
-            let initial = evaluate_gate_bounded_raw_segmented(
+            let initial = evaluate_gate_bounded_raw(
                 &[&input],
-                &[10.0],
-                |seg, _pin| seg_delays[seg],
+                |t, _pin| {
+                    let d = if t < 10.0 { 5.0 } else { 1.0 };
+                    PinDelays { rise: d, fall: d }
+                },
                 |v| !v[0],
                 &mut scratch,
                 usize::MAX,
@@ -823,65 +708,8 @@ mod tests {
             .unwrap();
             (initial, scratch.scheduled().to_vec())
         };
-        // Just before the boundary: segment 0's delay applies.
         assert_eq!(run(9.9), (true, vec![9.9 + 5.0]));
-        // Exactly at the boundary: the event belongs to the *later*
-        // segment (partition_point with `<=`).
         assert_eq!(run(10.0), (true, vec![10.0 + 1.0]));
-        // Past the boundary: still segment 1.
-        assert_eq!(run(10.1), (true, vec![10.1 + 1.0]));
-    }
-
-    #[test]
-    fn segmented_with_empty_boundaries_matches_raw() {
-        // Skewed NAND inputs that produce a glitch — a case exercising
-        // cancellation and capacity bookkeeping in both variants.
-        let a = wf(true, &[10.0, 40.0]);
-        let b = wf(false, &[12.0, 35.0, 36.0]);
-        let delays = [
-            PinDelays {
-                rise: 3.0,
-                fall: 4.0,
-            },
-            PinDelays {
-                rise: 2.5,
-                fall: 6.0,
-            },
-        ];
-        let mut s1 = GateScratch::new();
-        let mut s2 = GateScratch::new();
-        let nand = |v: &[bool]| !(v[0] && v[1]);
-        let i1 = evaluate_gate_bounded_raw(&[&a, &b], &delays, nand, &mut s1, 8).unwrap();
-        let i2 = evaluate_gate_bounded_raw_segmented(
-            &[&a, &b],
-            &[],
-            |_seg, pin| delays[pin],
-            nand,
-            &mut s2,
-            8,
-        )
-        .unwrap();
-        assert_eq!(i1, i2);
-        assert_eq!(s1.scheduled(), s2.scheduled());
-    }
-
-    #[test]
-    fn segmented_overflow_still_detected() {
-        let input = wf(false, &[1.0, 2.0, 3.0, 4.0]);
-        let mut scratch = GateScratch::new();
-        let err = evaluate_gate_bounded_raw_segmented(
-            &[&input],
-            &[2.5],
-            |_seg, _pin| PinDelays {
-                rise: 0.1,
-                fall: 0.1,
-            },
-            |v| v[0],
-            &mut scratch,
-            2,
-        )
-        .unwrap_err();
-        assert_eq!(err.capacity, 2);
     }
 
     proptest! {
@@ -954,8 +782,8 @@ mod tests {
             let sym1 = PinDelays { rise: d1, fall: d1 };
             let sym2 = PinDelays { rise: d2, fall: d2 };
             let sym12 = PinDelays { rise: d1 + d2, fall: d1 + d2 };
-            let chained = delay_waveform(&delay_waveform(&w, sym1), sym2);
-            let direct = delay_waveform(&w, sym12);
+            let chained = buffer(&buffer(&w, sym1), sym2);
+            let direct = buffer(&w, sym12);
             prop_assert_eq!(chained.transitions().len(), direct.transitions().len());
             for (x, y) in chained.transitions().iter().zip(direct.transitions()) {
                 prop_assert!((x - y).abs() < 1e-9);
