@@ -22,7 +22,7 @@ use avfs_bench::{
     activity_patterns, characterize_used, measure_activity_point, measure_batch_throughput, Args,
 };
 use avfs_circuits::{CircuitProfile, PAPER_PROFILES};
-use avfs_core::{slots, Engine, EventDrivenSimulator, SimOptions, SimRun};
+use avfs_core::{slots, CompiledNetlist, EventDrivenSimulator, SimOptions, SimRun};
 use avfs_delay::{CharacterizedLibrary, TimingAnnotation};
 use avfs_netlist::{CellLibrary, Netlist, NetlistStats};
 use std::sync::Arc;
@@ -43,11 +43,7 @@ fn main() {
     let scale: f64 = args.value("--scale").unwrap_or(0.01);
     let pairs_cap: usize = args.value("--pairs").unwrap_or(24);
     let order: usize = args.value("--order").unwrap_or(3);
-    let threads = SimOptions {
-        threads: args.value("--threads").unwrap_or(0),
-        ..SimOptions::default()
-    }
-    .resolved_threads();
+    let threads = args.threads();
     let out: String = args
         .value("--out")
         .unwrap_or_else(|| "BENCH_core.json".into());
@@ -118,8 +114,6 @@ fn main() {
                 threads,
                 ..SimOptions::default()
             },
-            &[0, 3],
-            5,
         ));
         let text = report.to_json().to_string_pretty();
         let back = PerfReport::validate(&text).expect("schema validates");
@@ -245,10 +239,9 @@ fn main() {
         report.lane_scaling = Some(sweep);
 
         // Compile-once / simulate-many A/B on the same design: a short
-        // per-run workload repeated 64 times with a fresh `Engine::new`
-        // per run versus one `BatchRunner` compile and a parked pool,
-        // identity asserted run-for-run, plus a shard-size sweep against
-        // the unsharded reference.
+        // per-run workload repeated 64 times with a fresh compile and
+        // bare launch per run versus one `BatchRunner` compile and a
+        // parked pool, identity asserted run-for-run.
         eprintln!("perf_report: batch-throughput A/B on {} ...", profile.name);
         // Same workload shape as the `batch_throughput` binary's default:
         // short low-activity runs with a right-sized arena — the
@@ -269,8 +262,6 @@ fn main() {
                 threads,
                 ..SimOptions::default()
             },
-            &[0, 4, 7],
-            3,
         );
         eprintln!(
             "perf_report:   {} runs: per-run {:>8.1} ms, batched {:>8.1} ms ({:.2}x, {} compile misses)",
@@ -307,7 +298,7 @@ fn measure(
         .run_profiled(patterns, &slot_list, false, true)
         .expect("baseline runs");
 
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(netlist),
         Arc::clone(annotation),
         Arc::new(chars.model().clone()),
@@ -319,7 +310,7 @@ fn measure(
         ..SimOptions::default()
     };
     let run = engine
-        .run(patterns, &slot_list, &opts)
+        .launch(patterns, &slot_list, &opts)
         .expect("engine runs");
     eprint!("{}", run.summary());
 
@@ -353,7 +344,7 @@ fn scaling_sweep(
     sweep: &[usize],
     prior_engine_elapsed_ms: Option<f64>,
 ) -> ThreadScaling {
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(netlist),
         Arc::clone(annotation),
         Arc::new(chars.model().clone()),
@@ -365,7 +356,7 @@ fn scaling_sweep(
     let mut single_ms = 0.0;
     for &threads in sweep {
         let run = engine
-            .run(
+            .launch(
                 patterns,
                 &slot_list,
                 &SimOptions {
@@ -417,7 +408,7 @@ fn lane_sweep(
     sweep: &[usize],
     threads: usize,
 ) -> LaneScaling {
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(netlist),
         Arc::clone(annotation),
         Arc::new(chars.model().clone()),
@@ -429,7 +420,7 @@ fn lane_sweep(
     let mut scalar_ms = 0.0;
     for &lanes in sweep {
         let run = engine
-            .run(
+            .launch(
                 patterns,
                 &slot_list,
                 &SimOptions {
@@ -480,7 +471,7 @@ fn activity_sweep(
     factors: &[f64],
     threads: usize,
 ) -> ActivitySweep {
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(netlist),
         Arc::clone(annotation),
         Arc::new(chars.model().clone()),

@@ -1,6 +1,6 @@
-//! Cross-run batch execution: a parked worker pool, bounded artifact
-//! caches, and sharded slot grids — the server-shaped front half of the
-//! compile-once / simulate-many split.
+//! Cross-run batch execution: a parked worker pool and bounded artifact
+//! caches — the server-shaped front half of the compile-once /
+//! simulate-many split.
 //!
 //! Where a [`Session`](crate::session::Session) binds one compiled
 //! artifact to one pool, a [`BatchRunner`] is the amortization hub for a
@@ -12,46 +12,28 @@
 //! * **artifact caching** — compiled netlists and characterized
 //!   libraries live in bounded LRUs keyed by
 //!   [`CompileKey`] = (netlist hash, library hash, corner), with
-//!   `engine.compile_{hits,misses}` counters riding `avfs-obs`;
-//! * **grid sharding** — a slot grid larger than
-//!   [`SimOptions::shard_slots`] (auto: one arena batch) is split into
-//!   shards executed back-to-back on the parked pool and stitched in
-//!   slot-major order, bit-for-bit identical to an unsharded run.
+//!   `engine.compile_{hits,misses}` counters riding `avfs-obs`.
 //!
-//! # Shard stitching and determinism
-//!
-//! Slots are independent: the engine's own internal batching is already
-//! result-transparent, and a shard is nothing but an externally imposed
-//! batch boundary. The stitcher concatenates shard slot results in grid
-//! order, re-bases per-shard diagnostic slot indexes to global grid
-//! indexes through a [`LaneWindow`](avfs_waveform::LaneWindow),
-//! sums the additive counters
-//! (retries, aborts, denials, injected faults), maxes the arena
-//! occupancy water mark, and re-checks total loss over the whole grid.
-//! Validation runs **once** over the whole grid (global `slot {i}`
-//! labels, one `Deny` decision); quarantine, deadline and injection
-//! semantics are per-shard, exactly as they are per-run today. The one
-//! non-slot-local counter is `kernel_fallbacks` (counted per
-//! (level, voltage-group) evaluation, which shard boundaries can split);
-//! it is exact on fallback-free runs and an upper bound otherwise.
-//! Multi-shard runs return no profile (per-shard registries are not
-//! merged).
+//! A run is exactly a [`CompiledNetlist::launch`] (or
+//! [`CompiledNetlist::launch_scenarios`]) on the parked pool: the same
+//! preparation, validation and waveform-budget batch loop, so deadlines,
+//! fault-injection keys, diagnostics and profiles cover the whole grid,
+//! and slots and diagnostics are bit-for-bit those of a bare launch.
 
 use crate::compile::CompiledNetlist;
-use crate::engine::{Exec, SimOptions, SlotWork};
+use crate::engine::{Grid, SimOptions};
 use crate::phases;
-use crate::pool::WorkerPool;
-use crate::results::{RunDiagnostics, SimRun};
+use crate::pool::Workers;
+use crate::results::SimRun;
+use crate::scenario::{MonteCarlo, ScenarioSpec};
 use crate::slots::SlotSpec;
 use crate::SimError;
 use avfs_atpg::PatternSet;
 use avfs_delay::CharacterizedLibrary;
 use avfs_netlist::Netlist;
 use avfs_obs::{Metrics, Profile};
-use avfs_waveform::LaneLayout;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Cache key of one compiled artifact: what the compile step actually
 /// depends on — the netlist's structure, the characterized library's
@@ -176,10 +158,8 @@ impl<K: PartialEq + Copy, V> Lru<K, V> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct BatchRunner {
-    /// Worker count resolved once at construction.
-    threads: usize,
-    /// The parked pool (`None` for single-threaded runners).
-    pool: Option<WorkerPool>,
+    /// The parked workers, resolved once at construction.
+    workers: Workers,
     /// Serializes runs: the epoch-barrier pool admits one run at a time.
     run_lock: Mutex<()>,
     /// Runs currently waiting on (or holding) the run lock — sampled
@@ -201,14 +181,8 @@ impl BatchRunner {
     /// parallelism once, here) and at most `cache_capacity` entries in
     /// each artifact cache (clamped to at least 1).
     pub fn new(threads: usize, cache_capacity: usize) -> BatchRunner {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
         BatchRunner {
-            threads,
-            pool: (threads > 1).then(|| WorkerPool::new(threads)),
+            workers: Workers::new(threads),
             run_lock: Mutex::new(()),
             waiting: AtomicU64::new(0),
             artifacts: Mutex::new(Lru::new(cache_capacity)),
@@ -223,7 +197,7 @@ impl BatchRunner {
 
     /// The worker count resolved at construction.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.workers.threads()
     }
 
     /// Returns the cached artifact for `key`, or compiles it via
@@ -316,25 +290,22 @@ impl BatchRunner {
 
     /// Snapshot of the runner's instrument registry
     /// (`engine.compile_{hits,misses}`, `engine.library_{hits,misses}`,
-    /// `engine.batch_{runs,shards}`, queue depth, cache occupancy).
+    /// `engine.batch_runs`, queue depth, cache occupancy).
     pub fn profile(&self) -> Profile {
         self.metrics.snapshot()
     }
 
-    /// Simulates `slots` over `patterns` on the parked pool, sharding
-    /// the grid when it exceeds [`SimOptions::shard_slots`] (auto: one
-    /// arena batch). Results — slots and diagnostics — are bit-for-bit
-    /// identical to an unsharded [`CompiledNetlist::launch`] of the same
-    /// grid (see the module docs for the stitching argument); sharded
-    /// runs return `profile: None`.
+    /// Simulates `slots` over `patterns` on the parked pool, exactly as
+    /// a [`CompiledNetlist::launch`] of the same grid does: slots and
+    /// diagnostics are bit-for-bit identical, and a profiled run carries
+    /// its profile.
     ///
     /// # Errors
     ///
     /// Same as [`CompiledNetlist::launch`], plus
     /// [`SimError::ThreadMismatch`] for a per-run
     /// [`SimOptions::threads`] override that differs from the runner's
-    /// pool. [`SimError::AllSlotsFailed`] is decided over the whole
-    /// stitched grid, not per shard.
+    /// pool.
     pub fn run(
         &self,
         compiled: &Arc<CompiledNetlist>,
@@ -342,176 +313,52 @@ impl BatchRunner {
         slots: &[SlotSpec],
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        if options.threads != 0 && options.threads != self.threads {
-            return Err(SimError::ThreadMismatch {
-                pool: self.threads,
-                requested: options.threads,
-            });
-        }
-        let options = SimOptions {
-            threads: self.threads,
-            ..options.clone()
-        };
-        // Whole-grid preparation and validation, once: global `slot {i}`
-        // labels, one findings list, one Deny decision — shards below
-        // run with validation pre-paid.
-        let (work, slot_points) = compiled.prepare_uniform(patterns, slots)?;
-        let validation = compiled.validate_launch(options.strict_validation, &slot_points)?;
-        self.run_prepared(compiled, patterns, work, options, validation)
+        self.queued(|workers| {
+            compiled.execute(patterns, Grid::Uniform(slots), options, Some(workers))
+        })
     }
 
     /// Simulates piecewise-scheduled scenarios (optionally Monte Carlo
-    /// sampled) on the parked pool, sharding like [`BatchRunner::run`].
-    /// The scenario reduction is computed over the whole stitched grid,
-    /// so the returned [`SimRun::scenario`] summary is bit-identical to
-    /// an unsharded [`CompiledNetlist::launch_scenarios`] of the same
-    /// scenarios — see there for semantics and errors.
+    /// sampled) on the parked pool, bit-for-bit identical to a
+    /// [`CompiledNetlist::launch_scenarios`] of the same scenarios
+    /// (summary included) — see there for semantics and errors, plus
+    /// [`SimError::ThreadMismatch`] as for [`BatchRunner::run`].
     pub fn run_scenarios(
         &self,
         compiled: &Arc<CompiledNetlist>,
         patterns: &PatternSet,
-        scenarios: &[crate::scenario::ScenarioSpec],
-        mc: Option<&crate::scenario::MonteCarlo>,
+        scenarios: &[ScenarioSpec],
+        mc: Option<&MonteCarlo>,
         capture_deadline_ps: Option<f64>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        if options.threads != 0 && options.threads != self.threads {
-            return Err(SimError::ThreadMismatch {
-                pool: self.threads,
-                requested: options.threads,
-            });
-        }
-        let options = SimOptions {
-            threads: self.threads,
-            ..options.clone()
-        };
-        let (work, findings) = compiled.prepare_scenarios(patterns, scenarios, mc)?;
-        let validation =
-            compiled.validate_launch_extra(options.strict_validation, &[], &findings)?;
-        let mut run = self.run_prepared(compiled, patterns, work, options, validation)?;
-        run.scenario = Some(crate::scenario::summarize(
-            &run.slots,
+        let grid = Grid::Scenarios {
+            scenarios,
             mc,
             capture_deadline_ps,
-        ));
-        Ok(run)
+        };
+        self.queued(|workers| compiled.execute(patterns, grid, options, Some(workers)))
     }
 
-    /// The shared post-preparation run path: queue admission, shard
-    /// split, stitched execution. `options` must already be pinned to
-    /// the pool's thread count and `validation` pre-rendered over the
-    /// whole grid.
-    fn run_prepared(
+    /// Runs `launch` on the parked workers once this caller holds the
+    /// run lock, recording the queue depth it found on arrival.
+    fn queued(
         &self,
-        compiled: &Arc<CompiledNetlist>,
-        patterns: &PatternSet,
-        work: Vec<SlotWork>,
-        options: SimOptions,
-        validation: Vec<String>,
+        launch: impl FnOnce(&Workers) -> Result<SimRun, SimError>,
     ) -> Result<SimRun, SimError> {
         let depth = self.waiting.fetch_add(1, Ordering::Relaxed);
         let _guard = self.run_lock.lock().expect("run lock");
         self.waiting.fetch_sub(1, Ordering::Relaxed);
         self.metrics.record(phases::ENGINE_BATCH_QUEUE_DEPTH, depth);
         self.metrics.add(phases::ENGINE_BATCH_RUNS, 1);
-
-        let start = Instant::now();
-        let nodes = compiled.netlist().num_nodes();
-        let shard_slots = if options.shard_slots != 0 {
-            options.shard_slots
-        } else {
-            // Auto: one round-0 arena batch per shard, so shard
-            // boundaries coincide with the engine's internal batch
-            // boundaries and sharding adds no extra batch splits.
-            (options.waveform_budget / (nodes.max(1) * options.resolved_arena_capacity())).max(1)
-        };
-        if work.len() <= shard_slots {
-            self.metrics.add(phases::ENGINE_BATCH_SHARDS, 1);
-            return compiled.run_work(
-                patterns,
-                &work,
-                &options,
-                validation,
-                &Exec {
-                    pool: self.pool.as_ref(),
-                    allow_total_loss: false,
-                    prevalidated: None,
-                },
-            );
-        }
-
-        // Sharded execution: back-to-back sub-runs on the parked pool,
-        // stitched in slot-major order.
-        let mut stitched: Vec<crate::results::SlotResult> = Vec::with_capacity(work.len());
-        let mut diag = RunDiagnostics {
-            clamped_loads: compiled.clamped_loads(),
-            validation_findings: validation,
-            ..RunDiagnostics::default()
-        };
-        let mut node_evaluations = 0u64;
-        let mut shards = 0u64;
-        for (index, shard) in work.chunks(shard_slots).enumerate() {
-            let base = index * shard_slots;
-            let run = compiled.run_work(
-                patterns,
-                shard,
-                &options,
-                Vec::new(),
-                &Exec {
-                    pool: self.pool.as_ref(),
-                    allow_total_loss: true,
-                    prevalidated: None,
-                },
-            )?;
-            shards += 1;
-            node_evaluations += run.node_evaluations;
-            // Shard-local slot indexes re-base to the global grid through
-            // the shard's lane window; per-shard lists arrive sorted and
-            // shard bases ascend, so plain concatenation stays sorted.
-            let window =
-                LaneLayout::new(options.resolved_lanes(), nodes.max(1), shard.len()).window(base);
-            let d = run.diagnostics;
-            diag.overflowed_slots
-                .extend(d.overflowed_slots.iter().map(|&s| window.global_slot(s)));
-            diag.panicked_slots
-                .extend(d.panicked_slots.iter().map(|&s| window.global_slot(s)));
-            diag.failed_slots
-                .extend(d.failed_slots.iter().map(|&s| window.global_slot(s)));
-            diag.slot_retries += d.slot_retries;
-            diag.kernel_fallbacks += d.kernel_fallbacks;
-            diag.deadline_aborts += d.deadline_aborts;
-            diag.budget_denials += d.budget_denials;
-            diag.watchdog_stalls += d.watchdog_stalls;
-            diag.faults_injected += d.faults_injected;
-            diag.peak_arena_occupancy = diag.peak_arena_occupancy.max(d.peak_arena_occupancy);
-            diag.budget_tripped = diag.budget_tripped.or(d.budget_tripped);
-            stitched.extend(run.slots);
-        }
-        self.metrics.add(phases::ENGINE_BATCH_SHARDS, shards);
-        // Total loss is decided over the whole grid: a shard may lose
-        // every one of its slots without failing the run.
-        if stitched.iter().all(|s| !s.status.is_completed()) {
-            return Err(SimError::AllSlotsFailed {
-                slots: stitched.len(),
-            });
-        }
-        Ok(SimRun {
-            slots: stitched,
-            elapsed: start.elapsed(),
-            node_evaluations,
-            diagnostics: diag,
-            // Per-shard registries are not merged; sharded runs are
-            // throughput runs, profile one shard-sized grid instead.
-            profile: None,
-            scenario: None,
-        })
+        launch(&self.workers)
     }
 }
 
 impl std::fmt::Debug for BatchRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchRunner")
-            .field("threads", &self.threads)
+            .field("threads", &self.threads())
             .field("compile_hits", &self.compile_hits())
             .field("compile_misses", &self.compile_misses())
             .finish()
@@ -570,93 +417,32 @@ mod tests {
         )
     }
 
-    /// The determinism matrix of ISSUE 8: shard sizes (single shard,
-    /// arena-sized, prime-sized tail) × threads (1, 4) × lanes (1, 8),
-    /// in a normal scenario and a tight-arena scenario that forces
-    /// quarantine-and-retry inside shards — every cell bit-identical
-    /// (slots, diagnostics, node evaluations) to the unsharded
-    /// single-threaded reference.
+    /// `BatchRunner ≡ CompiledNetlist::launch{,_scenarios}`: a runner run
+    /// is a bare launch on a parked pool. Across threads (1, 4) × lanes
+    /// (1, 8), in a normal, a tight-arena (quarantine-and-retry) and an
+    /// armed kernel-panic scenario, under a waveform budget that splits
+    /// every grid into 3 arena batches, slots, diagnostics, node
+    /// evaluations and the scenario summary are bit-identical to the
+    /// single-threaded bare launch — fault-injection keys included, since
+    /// they are grid indexes of the one work list. A profiled run returns
+    /// the profile of all 3 batches.
     #[test]
-    fn sharded_batch_matches_unsharded_matrix() {
+    fn batch_runner_matches_bare_launch_matrix() {
+        use crate::scenario::{cross_schedules, MonteCarlo, Schedule};
+        use avfs_inject::{FaultPlan, InjectionSite};
         let compiled = compiled_adder();
+        let nodes = compiled.netlist().num_nodes();
         let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 10, 7);
         let slot_list = cross(patterns.len(), &[0.7, 0.8]); // 20 slots
-        let scenarios: [(&str, SimOptions); 2] = [
-            ("normal", SimOptions::default()),
-            (
-                "tight-arena",
-                SimOptions {
-                    // Capacity 1 overflows glitchy carry-chain nets and
-                    // exercises quarantine-and-retry per shard.
-                    arena_capacity: 1,
-                    ..SimOptions::default()
-                },
-            ),
-        ];
-        for (name, base) in scenarios {
-            let reference = compiled
-                .launch(
-                    &patterns,
-                    &slot_list,
-                    &SimOptions {
-                        threads: 1,
-                        ..base.clone()
-                    },
-                )
-                .unwrap();
-            if name == "tight-arena" {
-                assert!(
-                    reference.diagnostics.slot_retries > 0,
-                    "tight-arena scenario must exercise retries"
-                );
-            }
-            for threads in [1usize, 4] {
-                let runner = BatchRunner::new(threads, 4);
-                for shard_slots in [slot_list.len(), 4, 3] {
-                    for lanes in [1usize, 8] {
-                        let run = runner
-                            .run(
-                                &compiled,
-                                &patterns,
-                                &slot_list,
-                                &SimOptions {
-                                    shard_slots,
-                                    lanes,
-                                    ..base.clone()
-                                },
-                            )
-                            .unwrap();
-                        let label =
-                            format!("{name} threads={threads} shard={shard_slots} lanes={lanes}");
-                        assert_eq!(run.slots, reference.slots, "{label}");
-                        assert_eq!(run.diagnostics, reference.diagnostics, "{label}");
-                        assert_eq!(run.node_evaluations, reference.node_evaluations, "{label}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// The scenario-engine extension of the shard matrix: scheduled
-    /// (droop) and Monte Carlo sampled grids stay bit-identical to the
-    /// unsharded single-threaded [`CompiledNetlist::launch_scenarios`]
-    /// across threads × shard sizes × lanes, summary included — the
-    /// scenario reduction is computed over the stitched grid, so shard
-    /// boundaries never show in the failure-probability curve.
-    #[test]
-    fn sharded_scenarios_match_unsharded_matrix() {
-        use crate::scenario::{cross_schedules, MonteCarlo, Schedule};
-        let compiled = compiled_adder();
-        let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 6, 11);
         let scenarios = cross_schedules(
-            patterns.len(),
+            5,
             &[
                 Schedule::droop(0.8, 0.1, 20.0, 70.0),
                 Schedule::constant(0.7),
             ],
         );
         let mc = MonteCarlo {
-            samples: 2,
+            samples: 2, // 5 patterns x 2 schedules x 2 dice = 20 slots
             variation: avfs_delay::VariationConfig {
                 sigma: 0.06,
                 max_deviation: 0.2,
@@ -664,24 +450,59 @@ mod tests {
             },
         };
         let deadline = Some(120.0);
-        let reference = compiled
-            .launch_scenarios(
-                &patterns,
-                &scenarios,
-                Some(&mc),
-                deadline,
-                &SimOptions {
-                    threads: 1,
+        let plan = Arc::new(FaultPlan::empty(5).with_rate(InjectionSite::KernelPanic, 0.3));
+        let cases: [(&str, SimOptions); 3] = [
+            ("normal", SimOptions::default()),
+            (
+                "tight-arena",
+                SimOptions {
+                    // Capacity 1 overflows glitchy carry-chain nets and
+                    // exercises quarantine-and-retry.
+                    arena_capacity: 1,
                     ..SimOptions::default()
                 },
-            )
-            .unwrap();
-        assert_eq!(reference.slots.len(), scenarios.len() * mc.samples);
-        assert!(reference.scenario.is_some());
-        for threads in [1usize, 4] {
-            let runner = BatchRunner::new(threads, 4);
-            for shard_slots in [reference.slots.len(), 5, 3] {
+            ),
+            (
+                "kernel-panic",
+                SimOptions {
+                    fault_plan: Some(Arc::clone(&plan)),
+                    ..SimOptions::default()
+                },
+            ),
+        ];
+        for (name, base) in cases {
+            // 7 slots per round-0 arena batch: 20 slots run as 7 + 7 + 6.
+            let base = SimOptions {
+                waveform_budget: nodes * base.resolved_arena_capacity() * 7,
+                ..base
+            };
+            let single = SimOptions {
+                threads: 1,
+                ..base.clone()
+            };
+            let reference = compiled.launch(&patterns, &slot_list, &single).unwrap();
+            let scenario_reference = compiled
+                .launch_scenarios(&patterns, &scenarios, Some(&mc), deadline, &single)
+                .unwrap();
+            match name {
+                "tight-arena" => assert!(reference.diagnostics.slot_retries > 0),
+                "kernel-panic" => assert!(!reference.diagnostics.panicked_slots.is_empty()),
+                _ => {}
+            }
+            for threads in [1usize, 4] {
+                let runner = BatchRunner::new(threads, 4);
                 for lanes in [1usize, 8] {
+                    let label = format!("{name} threads={threads} lanes={lanes}");
+                    let options = SimOptions {
+                        lanes,
+                        ..base.clone()
+                    };
+                    let run = runner
+                        .run(&compiled, &patterns, &slot_list, &options)
+                        .unwrap();
+                    assert_eq!(run.slots, reference.slots, "{label}");
+                    assert_eq!(run.diagnostics, reference.diagnostics, "{label}");
+                    assert_eq!(run.node_evaluations, reference.node_evaluations, "{label}");
                     let run = runner
                         .run_scenarios(
                             &compiled,
@@ -689,62 +510,38 @@ mod tests {
                             &scenarios,
                             Some(&mc),
                             deadline,
-                            &SimOptions {
-                                shard_slots,
-                                lanes,
-                                ..SimOptions::default()
-                            },
+                            &options,
                         )
                         .unwrap();
-                    let label = format!("threads={threads} shard={shard_slots} lanes={lanes}");
-                    assert_eq!(run.slots, reference.slots, "{label}");
-                    assert_eq!(run.diagnostics, reference.diagnostics, "{label}");
-                    assert_eq!(run.node_evaluations, reference.node_evaluations, "{label}");
-                    assert_eq!(run.scenario, reference.scenario, "{label}");
+                    let want = &scenario_reference;
+                    assert_eq!(run.slots, want.slots, "scenarios {label}");
+                    assert_eq!(run.diagnostics, want.diagnostics, "scenarios {label}");
+                    assert_eq!(
+                        run.node_evaluations, want.node_evaluations,
+                        "scenarios {label}"
+                    );
+                    assert_eq!(run.scenario, want.scenario, "scenarios {label}");
+                }
+                let profiled = runner
+                    .run(
+                        &compiled,
+                        &patterns,
+                        &slot_list,
+                        &SimOptions {
+                            profiling: true,
+                            ..base.clone()
+                        },
+                    )
+                    .unwrap();
+                assert_eq!(profiled.slots, reference.slots, "{name} threads={threads}");
+                let profile = profiled
+                    .profile
+                    .expect("a profiled run returns its profile");
+                if name != "tight-arena" {
+                    assert_eq!(profile.counter(phases::ENGINE_BATCHES), Some(3), "{name}");
                 }
             }
         }
-    }
-
-    /// The auto shard size follows the waveform budget: a budget that
-    /// only fits a few slots per arena batch shards the grid at exactly
-    /// those batch boundaries — still bit-identical to the unsharded
-    /// large-budget reference.
-    #[test]
-    fn auto_sharding_follows_the_waveform_budget() {
-        let compiled = compiled_adder();
-        let nodes = compiled.netlist().num_nodes();
-        let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 6, 9);
-        let slot_list = cross(patterns.len(), &[0.75, 0.9]); // 12 slots
-        let reference = compiled
-            .launch(
-                &patterns,
-                &slot_list,
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        let runner = BatchRunner::new(2, 4);
-        // Budget fits 5 slots per arena batch → shards of 5, 5, 2.
-        let run = runner
-            .run(
-                &compiled,
-                &patterns,
-                &slot_list,
-                &SimOptions {
-                    waveform_budget: nodes * SimOptions::default().resolved_arena_capacity() * 5,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(run.slots, reference.slots);
-        assert_eq!(run.diagnostics, reference.diagnostics);
-        assert!(run.profile.is_none(), "sharded runs do not merge profiles");
-        let profile = runner.profile();
-        assert_eq!(profile.counter(phases::ENGINE_BATCH_SHARDS), Some(3));
-        assert_eq!(profile.counter(phases::ENGINE_BATCH_RUNS), Some(1));
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //! * the per-level execution plan (gate task lists, pin-delay offsets,
 //!   output passthroughs) previously rebuilt per batch per level.
 //!
-//! The artifact is immutable, `Send + Sync`, and `Arc`-shared: clone the
-//! `Arc` into any number of [`Session`](crate::session::Session)s or
-//! hand it to a [`BatchRunner`](crate::batch::BatchRunner), and every
-//! launch is launch-only. The legacy [`Engine`](crate::Engine) is now a
-//! thin shim that compiles at construction and launches through here.
+//! The artifact is immutable, `Send + Sync`, and `Arc`-shared: launch it
+//! directly, clone the `Arc` into any number of
+//! [`Session`](crate::session::Session)s or hand it to a
+//! [`BatchRunner`](crate::batch::BatchRunner), and every launch is
+//! launch-only. All of them take the same launch path (see
+//! [`CompiledNetlist::launch`]).
 
 use crate::batch::Lru;
 use crate::phases;
@@ -63,7 +64,7 @@ pub(crate) struct LevelPlan {
 /// Compile once with [`CompiledNetlist::compile`], share via `Arc`, then
 /// launch any number of runs — directly via
 /// [`CompiledNetlist::launch`], with a parked worker pool via
-/// [`Session`](crate::session::Session), or sharded-and-cached via
+/// [`Session`](crate::session::Session), or cached with a parked pool via
 /// [`BatchRunner`](crate::batch::BatchRunner).
 ///
 /// ```
@@ -127,9 +128,9 @@ pub struct CompiledNetlist {
 
 impl CompiledNetlist {
     /// Compiles a netlist, annotation and delay model into an immutable
-    /// launch artifact. This is the formerly per-`Engine` setup cost —
-    /// levelization, input hardening, load normalization, lints, level
-    /// planning — paid exactly once per (netlist, library, corner).
+    /// launch artifact. This is the whole setup cost — levelization,
+    /// input hardening, load normalization, lints, level planning — paid
+    /// exactly once per (netlist, library, corner).
     ///
     /// # Errors
     ///

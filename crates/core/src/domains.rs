@@ -3,9 +3,9 @@
 //! The paper's introduction describes AVFS systems that "actively control
 //! internal voltages" — in real SoCs those are multiple independently
 //! scaled supply rails. [`VoltageDomains`] partitions a netlist's nodes
-//! into such rails; [`Engine::run_domains`](crate::engine::Engine) then
-//! sweeps per-island voltage configurations exactly as slots sweep global
-//! supplies.
+//! into such rails; [`CompiledNetlist::launch_domains`](crate::CompiledNetlist::launch_domains)
+//! then sweeps per-island voltage configurations exactly as slots sweep
+//! global supplies.
 
 use avfs_netlist::{Netlist, NodeId};
 
@@ -136,7 +136,8 @@ pub struct DomainSlotSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, SimOptions};
+    use crate::compile::CompiledNetlist;
+    use crate::engine::SimOptions;
     use crate::slots;
     use avfs_atpg::PatternSet;
     use avfs_delay::characterize::{characterize_library, CharacterizationConfig};
@@ -144,7 +145,7 @@ mod tests {
     use avfs_spice::Technology;
     use std::sync::Arc;
 
-    fn setup() -> (Arc<Netlist>, Engine) {
+    fn setup() -> (Arc<Netlist>, CompiledNetlist) {
         let library = CellLibrary::nangate15_like();
         let netlist =
             Arc::new(avfs_circuits::ripple_carry_adder(8, &library).expect("adder builds"));
@@ -165,7 +166,7 @@ mod tests {
         )
         .expect("characterizes");
         let annotation = Arc::new(chars.annotate(&netlist).expect("annotates"));
-        let engine = Engine::new(
+        let engine = CompiledNetlist::compile(
             Arc::clone(&netlist),
             annotation,
             Arc::new(chars.model().clone()),
@@ -191,10 +192,10 @@ mod tests {
             ..SimOptions::default()
         };
         let island_run = engine
-            .run_domains(&patterns, &domains, &specs, &opts)
+            .launch_domains(&patterns, &domains, &specs, &opts)
             .expect("runs");
         let uniform_run = engine
-            .run(&patterns, &slots::at_voltage(patterns.len(), 0.7), &opts)
+            .launch(&patterns, &slots::at_voltage(patterns.len(), 0.7), &opts)
             .expect("runs");
         for (a, b) in island_run.slots.iter().zip(&uniform_run.slots) {
             assert_eq!(a.responses, b.responses);
@@ -232,7 +233,7 @@ mod tests {
                 })
                 .collect();
             engine
-                .run_domains(
+                .launch_domains(
                     &patterns,
                     &domains,
                     &specs,
@@ -292,17 +293,19 @@ mod tests {
             voltages: vec![0.8],
         }];
         assert!(engine
-            .run_domains(&patterns, &domains, &bad, &opts)
+            .launch_domains(&patterns, &domains, &bad, &opts)
             .is_err());
         // Empty specs.
-        assert!(engine.run_domains(&patterns, &domains, &[], &opts).is_err());
+        assert!(engine
+            .launch_domains(&patterns, &domains, &[], &opts)
+            .is_err());
         // Bad pattern index.
         let bad = vec![DomainSlotSpec {
             pattern: 9,
             voltages: vec![0.8, 0.8],
         }];
         assert!(engine
-            .run_domains(&patterns, &domains, &bad, &opts)
+            .launch_domains(&patterns, &domains, &bad, &opts)
             .is_err());
     }
 

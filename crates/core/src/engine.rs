@@ -28,18 +28,18 @@
 //! slot fails does a run return an error.
 
 use crate::compile::{CompiledNetlist, DelayTable};
+use crate::domains::{DomainSlotSpec, VoltageDomains};
 use crate::phases;
-use crate::pool::{Watchdog, WorkerPool};
+use crate::pool::{Watchdog, WorkerPool, Workers};
 use crate::results::{RunDiagnostics, SimRun, SlotResult, SlotStatus, TrippedBudget};
+use crate::scenario::{MonteCarlo, ScenarioSpec};
 use crate::slots::SlotSpec;
 use crate::SimError;
 use avfs_atpg::PatternSet;
-use avfs_delay::model::DelayModel;
 use avfs_delay::op::OperatingPoint;
-use avfs_delay::TimingAnnotation;
 use avfs_inject::{FaultPlan, InjectionSite, Injector};
 use avfs_netlist::library::Polarity;
-use avfs_netlist::{Levelization, Netlist, NodeId};
+use avfs_netlist::NodeId;
 use avfs_obs::{time_option, Metrics};
 use avfs_waveform::{
     evaluate_gate_bounded_raw, CapacityOverflow, GateScratch, LaneLayout, LevelWriter, PinDelays,
@@ -96,10 +96,14 @@ pub enum ValidationMode {
 #[derive(Debug, Clone)]
 pub struct SimOptions {
     /// Worker threads (the SIMD lanes of the substitute device); 0 — the
-    /// default — selects the machine's available parallelism at run time
-    /// (see [`SimOptions::resolved_threads`]). Workers are spawned once
-    /// per run and parked between levels; at each level the count is
-    /// further clamped to the level's task count.
+    /// default — selects the machine's available parallelism. A bare
+    /// [`CompiledNetlist::launch`] spawns its workers per call; a
+    /// [`Session`](crate::session::Session) or
+    /// [`BatchRunner`](crate::batch::BatchRunner) resolves the count once
+    /// and parks the workers across runs, refusing any other nonzero
+    /// count with [`SimError::ThreadMismatch`]. Workers park between
+    /// levels; at each level the count is further clamped to the level's
+    /// task count.
     pub threads: usize,
     /// Time at which pattern pairs launch their transition, ps.
     pub launch_time_ps: f64,
@@ -134,7 +138,7 @@ pub struct SimOptions {
     /// measurement (see the `activity_sweep` bench bin).
     ///
     /// ```
-    /// use avfs_core::{slots, Engine, SimOptions};
+    /// use avfs_core::{slots, CompiledNetlist, SimOptions};
     /// use avfs_atpg::PatternSet;
     /// use avfs_delay::{ParameterSpace, StaticModel, TimingAnnotation};
     /// use avfs_netlist::CellLibrary;
@@ -142,15 +146,15 @@ pub struct SimOptions {
     ///
     /// let library = CellLibrary::nangate15_like();
     /// let netlist = Arc::new(avfs_circuits::ripple_carry_adder(4, &library)?);
-    /// let engine = Engine::new(
+    /// let compiled = CompiledNetlist::compile(
     ///     Arc::clone(&netlist),
     ///     Arc::new(TimingAnnotation::zero(&netlist)),
     ///     Arc::new(StaticModel::new(ParameterSpace::paper())),
     /// )?;
     /// let patterns = PatternSet::lfsr(netlist.inputs().len(), 4, 7);
     /// let slot_list = slots::at_voltage(patterns.len(), 0.8);
-    /// let gated = engine.run(&patterns, &slot_list, &SimOptions::default())?;
-    /// let ungated = engine.run(
+    /// let gated = compiled.launch(&patterns, &slot_list, &SimOptions::default())?;
+    /// let ungated = compiled.launch(
     ///     &patterns,
     ///     &slot_list,
     ///     &SimOptions {
@@ -215,29 +219,9 @@ pub struct SimOptions {
     /// in [`RunDiagnostics::budget_denials`]. `0` (the default) is
     /// unlimited — the seed behavior of unconditional ×4 growth.
     pub memory_budget: usize,
-    /// Shard size — slots per shard — used by
-    /// [`BatchRunner::run`](crate::batch::BatchRunner::run) when it
-    /// splits an oversized slot grid into back-to-back sub-runs on the
-    /// parked pool. `0` (the default) sizes shards to the engine's own
-    /// round-0 arena batch (`waveform_budget / (nodes × arena
-    /// capacity)`), so shard boundaries coincide with internal batch
-    /// boundaries. Ignored by direct [`Engine::run`] /
-    /// [`Session`](crate::session::Session) launches, which batch
-    /// internally regardless.
-    pub shard_slots: usize,
 }
 
 impl SimOptions {
-    /// The effective worker count: `threads`, with 0 resolved to the
-    /// machine's available parallelism.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
-    }
-
     /// The effective lane width: `lanes`, with 0 resolved to the default
     /// of 8.
     pub fn resolved_lanes(&self) -> usize {
@@ -276,7 +260,6 @@ impl Default for SimOptions {
             deadline: None,
             stall_timeout: None,
             memory_budget: 0,
-            shard_slots: 0,
         }
     }
 }
@@ -293,199 +276,50 @@ fn slot_arena_bytes(nodes: usize, capacity: usize) -> usize {
     )
 }
 
-/// The parallel time simulator bound to one netlist, annotation and delay
-/// model — since the compile/launch split, a thin cheaply-cloneable shim
-/// over an `Arc`-shared [`CompiledNetlist`].
-///
-/// [`Engine::new`] compiles at construction and [`Engine::run`] launches
-/// directly, so existing one-shot callers keep working unchanged — but
-/// every such run re-resolves threads and spawns a fresh worker pool.
-/// Repeated-run workloads should compile once and launch through
-/// [`Session`](crate::session::Session) (parked pool) or
-/// [`BatchRunner`](crate::batch::BatchRunner) (parked pool + artifact
-/// cache + grid sharding); [`Engine::compiled`] hands the artifact over.
-///
-/// ```
-/// // The legacy one-shot shim still works (and is still the simplest
-/// // way to run exactly once):
-/// use avfs_core::{slots, Engine, SimOptions};
-/// use avfs_atpg::PatternSet;
-/// use avfs_delay::{ParameterSpace, StaticModel, TimingAnnotation};
-/// use avfs_netlist::CellLibrary;
-/// use std::sync::Arc;
-///
-/// let library = CellLibrary::nangate15_like();
-/// let netlist = Arc::new(avfs_circuits::ripple_carry_adder(2, &library)?);
-/// let engine = Engine::new(
-///     Arc::clone(&netlist),
-///     Arc::new(TimingAnnotation::zero(&netlist)),
-///     Arc::new(StaticModel::new(ParameterSpace::paper())),
-/// )?;
-/// let patterns = PatternSet::lfsr(netlist.inputs().len(), 2, 7);
-/// let run = engine.run(&patterns, &slots::at_voltage(2, 0.8), &SimOptions::default())?;
-/// assert_eq!(run.slots.len(), 2);
-/// // Repeated runs? Reuse the compiled artifact instead:
-/// let compiled = Arc::clone(engine.compiled());
-/// # let _ = compiled;
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Engine {
-    compiled: Arc<CompiledNetlist>,
-}
-
-impl Engine {
-    /// Creates an engine by compiling the triple into a
-    /// [`CompiledNetlist`] (which this delegates to) and wrapping it.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::AnnotationMismatch`] if the annotation does not cover
-    ///   the netlist,
-    /// * [`SimError::Netlist`] if the netlist contains a combinational
-    ///   loop,
-    /// * [`SimError::InvalidLoad`] / [`SimError::InvalidDelay`] if the
-    ///   annotation carries non-finite or negative loads or delays.
-    pub fn new(
-        netlist: Arc<Netlist>,
-        annotation: Arc<TimingAnnotation>,
-        model: Arc<dyn DelayModel>,
-    ) -> Result<Engine, SimError> {
-        Ok(Engine {
-            compiled: Arc::new(CompiledNetlist::compile(netlist, annotation, model)?),
-        })
-    }
-
-    /// Wraps an already-compiled artifact; no compile cost is paid.
-    pub fn from_compiled(compiled: Arc<CompiledNetlist>) -> Engine {
-        Engine { compiled }
-    }
-
-    /// The underlying compiled artifact, for sharing with
-    /// [`Session`](crate::session::Session) or
-    /// [`BatchRunner`](crate::batch::BatchRunner).
-    pub fn compiled(&self) -> &Arc<CompiledNetlist> {
-        &self.compiled
-    }
-
-    /// The bound netlist.
-    pub fn netlist(&self) -> &Arc<Netlist> {
-        self.compiled.netlist()
-    }
-
-    /// The bound levelization.
-    pub fn levels(&self) -> &Arc<Levelization> {
-        self.compiled.levels()
-    }
-
-    /// The bound annotation.
-    pub fn annotation(&self) -> &Arc<TimingAnnotation> {
-        self.compiled.annotation()
-    }
-
-    /// The bound delay model.
-    pub fn model(&self) -> &Arc<dyn DelayModel> {
-        self.compiled.model()
-    }
-
-    /// The compile-time tier-1/tier-2 findings (netlist lints,
-    /// levelization cross-check, clamped annotated loads) — the
-    /// construction-time part of what
-    /// [`SimOptions::strict_validation`] reports per run.
-    pub fn setup_findings(&self) -> &[avfs_check::Finding] {
-        self.compiled.setup_findings()
-    }
-
-    /// Simulates `slots` over `patterns` — the one-shot shim over
-    /// [`CompiledNetlist::launch`]; see there for semantics and errors.
-    /// A fresh worker pool is spawned per call when `threads > 1`.
-    pub fn run(
-        &self,
-        patterns: &PatternSet,
-        slots: &[SlotSpec],
-        options: &SimOptions,
-    ) -> Result<SimRun, SimError> {
-        self.compiled.launch(patterns, slots, options)
-    }
-
-    /// Simulates with per-node voltage *domains* — the one-shot shim
-    /// over [`CompiledNetlist::launch_domains`]; see there for semantics
-    /// and errors.
-    pub fn run_domains(
-        &self,
-        patterns: &PatternSet,
-        domains: &crate::domains::VoltageDomains,
-        specs: &[crate::domains::DomainSlotSpec],
-        options: &SimOptions,
-    ) -> Result<SimRun, SimError> {
-        self.compiled
-            .launch_domains(patterns, domains, specs, options)
-    }
-
-    /// Simulates piecewise-scheduled scenarios (optionally Monte Carlo
-    /// sampled) — the one-shot shim over
-    /// [`CompiledNetlist::launch_scenarios`]; see there for semantics
-    /// and errors.
-    pub fn run_scenarios(
-        &self,
-        patterns: &PatternSet,
-        scenarios: &[crate::scenario::ScenarioSpec],
-        mc: Option<&crate::scenario::MonteCarlo>,
+/// What one launch simulates, before preparation: the slot grid of
+/// [`CompiledNetlist::launch`], [`CompiledNetlist::launch_domains`] or
+/// [`CompiledNetlist::launch_scenarios`].
+#[derive(Clone, Copy)]
+pub(crate) enum Grid<'a> {
+    /// One supply voltage per slot.
+    Uniform(&'a [SlotSpec]),
+    /// One supply voltage per (slot, voltage domain).
+    Domains(&'a VoltageDomains, &'a [DomainSlotSpec]),
+    /// One supply schedule per scenario, each expanded into `mc.samples`
+    /// dice and summarized against `capture_deadline_ps`.
+    Scenarios {
+        scenarios: &'a [ScenarioSpec],
+        mc: Option<&'a MonteCarlo>,
         capture_deadline_ps: Option<f64>,
-        options: &SimOptions,
-    ) -> Result<SimRun, SimError> {
-        self.compiled
-            .launch_scenarios(patterns, scenarios, mc, capture_deadline_ps, options)
-    }
+    },
 }
 
-/// How one launch executes beyond its [`SimOptions`]: which worker pool
-/// to use (a caller-parked one, or none — then the run spawns its own
-/// when `threads > 1`), whether a total loss is an error (sharded runs
-/// re-check over the stitched grid instead), and optionally
-/// pre-rendered validation findings (a grid-level caller validates once,
-/// not per shard).
-#[derive(Default)]
-pub(crate) struct Exec<'a> {
-    /// A caller-owned parked pool ([`Session`](crate::session::Session),
-    /// [`BatchRunner`](crate::batch::BatchRunner)); `None` spawns per
-    /// run — the legacy `Engine::run` shape.
-    pub(crate) pool: Option<&'a WorkerPool>,
-    /// Suppress the [`SimError::AllSlotsFailed`] check; the sharding
-    /// caller re-checks over the whole stitched grid.
-    pub(crate) allow_total_loss: bool,
-    /// Pre-rendered validation findings; `Some` skips per-launch
-    /// validation entirely (the grid-level caller already ran it).
-    pub(crate) prevalidated: Option<Vec<String>>,
+/// A prepared launch: the internal work list plus what the launch
+/// validation checks.
+struct Prepared {
+    work: Vec<SlotWork>,
+    /// Labelled slot operating points, linted against the model's
+    /// characterized domain (`AVC-D005`).
+    slot_points: Vec<(String, OperatingPoint)>,
+    /// Repairable schedule findings (`AVC-N010`/`AVC-D006`) — one set per
+    /// scenario, not per die.
+    findings: Vec<avfs_check::Finding>,
 }
 
 impl CompiledNetlist {
     /// Runs the launch validation: the artifact's pre-rendered setup
     /// findings plus an `AVC-D005` check of every slot operating point
-    /// in `slot_points` — the only validation work left per run after
-    /// the netlist/delay-model tiers were hoisted into compile. Returns
-    /// the rendered findings for
+    /// in `slot_points` and the launch's schedule `findings` — the only
+    /// validation work left per run after the netlist/delay-model tiers
+    /// were hoisted into compile. Returns the rendered findings for
     /// [`RunDiagnostics::validation_findings`], or
     /// [`SimError::Validation`] under [`ValidationMode::Deny`] when any
     /// warn-or-worse finding exists.
-    pub(crate) fn validate_launch(
+    fn validate_launch(
         &self,
         mode: ValidationMode,
         slot_points: &[(String, OperatingPoint)],
-    ) -> Result<Vec<String>, SimError> {
-        self.validate_launch_extra(mode, slot_points, &[])
-    }
-
-    /// [`CompiledNetlist::validate_launch`] with additional
-    /// launch-specific findings already produced by the caller (the
-    /// scenario layer's `AVC-N010`/`AVC-D006` schedule lints): they join
-    /// the rendered findings and participate in the Deny decision
-    /// exactly like slot-operating-point findings.
-    pub(crate) fn validate_launch_extra(
-        &self,
-        mode: ValidationMode,
-        slot_points: &[(String, OperatingPoint)],
-        extra: &[avfs_check::Finding],
+        findings: &[avfs_check::Finding],
     ) -> Result<Vec<String>, SimError> {
         if mode == ValidationMode::Off {
             return Ok(Vec::new());
@@ -493,89 +327,188 @@ impl CompiledNetlist {
         let op_findings = avfs_check::model::lint_operating_points(self.model.space(), slot_points);
         let mut rendered = self.setup_rendered.clone();
         rendered.extend(op_findings.iter().map(ToString::to_string));
-        rendered.extend(extra.iter().map(ToString::to_string));
+        rendered.extend(findings.iter().map(ToString::to_string));
         let warn_or_worse = |f: &avfs_check::Finding| f.severity >= avfs_check::Severity::Warn;
         if mode == ValidationMode::Deny
             && (self.setup_deny
                 || op_findings.iter().any(warn_or_worse)
-                || extra.iter().any(warn_or_worse))
+                || findings.iter().any(warn_or_worse))
         {
             return Err(SimError::Validation { findings: rendered });
         }
         Ok(rendered)
     }
 
-    /// Validates one uniform-voltage launch's stimuli and slot list and
-    /// resolves them into the internal work list (per-slot normalized
-    /// voltage assignments) plus the labelled operating points the
-    /// launch validation checks. Shared by [`CompiledNetlist::launch`]
-    /// and the sharding [`BatchRunner`](crate::batch::BatchRunner),
-    /// which prepares the whole grid once — global `slot {i}` labels —
-    /// and slices the work list per shard.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn prepare_uniform(
-        &self,
-        patterns: &PatternSet,
-        slots: &[SlotSpec],
-    ) -> Result<(Vec<SlotWork>, Vec<(String, OperatingPoint)>), SimError> {
-        if slots.is_empty() {
+    /// Checks a launch's stimuli and slot grid and resolves it into the
+    /// internal work list (per-slot normalized voltage assignments, Monte
+    /// Carlo dice included) plus what the launch validation checks. Every
+    /// launch kind shares the refusals: an empty grid, a pattern of the
+    /// wrong width, a pattern index out of range and a non-finite or
+    /// non-positive supply — checked *before* normalization clamps the
+    /// supply into the characterized domain.
+    fn prepare(&self, patterns: &PatternSet, grid: Grid<'_>) -> Result<Prepared, SimError> {
+        let slots = match grid {
+            Grid::Uniform(specs) => specs.len(),
+            Grid::Domains(_, specs) => specs.len(),
+            Grid::Scenarios { scenarios, mc, .. } => scenarios.len() * mc.map_or(1, |m| m.samples),
+        };
+        if slots == 0 {
             return Err(SimError::EmptySlots);
         }
         let width = self.netlist.inputs().len();
-        for pair in patterns {
-            if pair.width() != width {
-                return Err(SimError::PatternWidth {
-                    expected: width,
-                    got: pair.width(),
-                });
-            }
+        if let Some(pair) = patterns.iter().find(|pair| pair.width() != width) {
+            return Err(SimError::PatternWidth {
+                expected: width,
+                got: pair.width(),
+            });
         }
-        for (i, spec) in slots.iter().enumerate() {
-            if spec.pattern >= patterns.len() {
+        let check_slot = |slot: usize, pattern: usize, voltages: &mut dyn Iterator<Item = f64>| {
+            if pattern >= patterns.len() {
                 return Err(SimError::BadPatternIndex {
-                    index: spec.pattern,
+                    index: pattern,
                     available: patterns.len(),
                 });
             }
-            if !spec.voltage.is_finite() || spec.voltage <= 0.0 {
-                return Err(SimError::InvalidOperatingPoint {
-                    slot: i,
-                    voltage: spec.voltage,
-                });
+            for voltage in voltages {
+                if !voltage.is_finite() || voltage <= 0.0 {
+                    return Err(SimError::InvalidOperatingPoint { slot, voltage });
+                }
             }
-        }
-        // Slot operating points are checked against the model's
-        // characterized domain *before* normalization clamps them into
-        // it, so an out-of-domain sweep point is recorded (Warn) or
-        // refused (Deny) instead of silently repaired.
-        let space = self.model.space();
-        let slot_points: Vec<(String, OperatingPoint)> = slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                (
-                    format!("slot {i}"),
-                    OperatingPoint::new(s.voltage, space.load_range().0),
-                )
-            })
-            .collect();
+            Ok(())
+        };
         // Per-slot normalized voltage — computed once per slot, like the
         // paper's parameter memory (clamped so a sweep endpoint such as
         // exactly V_max stays valid under floating-point noise).
-        let work: Vec<SlotWork> = slots
-            .iter()
-            .map(|s| SlotWork {
-                pattern: s.pattern,
-                assign: VoltageAssign::Uniform(
-                    space
-                        .normalize_clamped(OperatingPoint::new(s.voltage, space.load_range().0))
-                        .v,
-                ),
-                voltage: s.voltage,
-                variation: None,
-            })
-            .collect();
-        Ok((work, slot_points))
+        let space = self.model.space();
+        let c_min = space.load_range().0;
+        let v_norm = |v: f64| space.normalize_clamped(OperatingPoint::new(v, c_min)).v;
+        let mut prepared = Prepared {
+            work: Vec::with_capacity(slots),
+            slot_points: Vec::new(),
+            findings: Vec::new(),
+        };
+        match grid {
+            Grid::Uniform(specs) => {
+                for (i, spec) in specs.iter().enumerate() {
+                    check_slot(i, spec.pattern, &mut std::iter::once(spec.voltage))?;
+                    prepared.slot_points.push((
+                        format!("slot {i}"),
+                        OperatingPoint::new(spec.voltage, c_min),
+                    ));
+                    prepared.work.push(SlotWork {
+                        pattern: spec.pattern,
+                        assign: VoltageAssign::Uniform(v_norm(spec.voltage)),
+                        voltage: spec.voltage,
+                        variation: None,
+                    });
+                }
+            }
+            Grid::Domains(domains, specs) => {
+                if domains.len() != self.netlist.num_nodes() {
+                    return Err(SimError::AnnotationMismatch);
+                }
+                for (i, spec) in specs.iter().enumerate() {
+                    if spec.voltages.len() != domains.count() {
+                        return Err(SimError::BadPatternIndex {
+                            index: spec.voltages.len(),
+                            available: domains.count(),
+                        });
+                    }
+                    check_slot(i, spec.pattern, &mut spec.voltages.iter().copied())?;
+                    // Each (slot, domain) supply is a checked operating
+                    // point — islands extend the validation the same way
+                    // they extend the voltage assignment.
+                    for (d, &v) in spec.voltages.iter().enumerate() {
+                        prepared.slot_points.push((
+                            format!("slot {i}/domain {d}"),
+                            OperatingPoint::new(v, c_min),
+                        ));
+                    }
+                    // Normalize each domain voltage once, then expand per node.
+                    let per_domain: Vec<f64> = spec.voltages.iter().map(|&v| v_norm(v)).collect();
+                    let per_node: Vec<f64> = (0..self.netlist.num_nodes())
+                        .map(|n| per_domain[domains.domain_of_index(n)])
+                        .collect();
+                    prepared.work.push(SlotWork {
+                        pattern: spec.pattern,
+                        assign: VoltageAssign::PerNode(Arc::new(per_node)),
+                        voltage: spec.voltages[0],
+                        variation: None,
+                    });
+                }
+            }
+            Grid::Scenarios { scenarios, mc, .. } => {
+                let (v_min, v_max) = space.voltage_range();
+                for (i, spec) in scenarios.iter().enumerate() {
+                    let segments = &spec.schedule.segments;
+                    check_slot(i, spec.pattern, &mut segments.iter().map(|s| s.voltage))?;
+                    let assign = crate::scenario::lower_schedule(
+                        i,
+                        segments,
+                        (v_min, v_max),
+                        v_norm,
+                        &mut prepared.findings,
+                    )?;
+                    // Scenario `i`'s dice occupy slots
+                    // `i * samples .. (i + 1) * samples`.
+                    let work = SlotWork {
+                        pattern: spec.pattern,
+                        assign,
+                        voltage: segments[0].voltage,
+                        variation: None,
+                    };
+                    match mc {
+                        None => prepared.work.push(work),
+                        Some(m) => prepared.work.extend((0..m.samples).map(|sample| SlotWork {
+                            variation: Some(VariationSample {
+                                config: m.variation,
+                                sample: sample as u32,
+                            }),
+                            ..work.clone()
+                        })),
+                    }
+                }
+                prepared.findings = avfs_check::cap_findings(prepared.findings);
+            }
+        }
+        Ok(prepared)
+    }
+
+    /// The one launch path: prepare and validate `grid`, then run it on
+    /// the `parked` workers of a [`Session`](crate::session::Session) or
+    /// [`BatchRunner`](crate::batch::BatchRunner) — refusing a
+    /// conflicting [`SimOptions::threads`] up front — or, when `None`, on
+    /// workers spawned for this launch alone.
+    pub(crate) fn execute(
+        &self,
+        patterns: &PatternSet,
+        grid: Grid<'_>,
+        options: &SimOptions,
+        parked: Option<&Workers>,
+    ) -> Result<SimRun, SimError> {
+        if let Some(workers) = parked {
+            workers.check_threads(options.threads)?;
+        }
+        let prepared = self.prepare(patterns, grid)?;
+        let validation = self.validate_launch(
+            options.strict_validation,
+            &prepared.slot_points,
+            &prepared.findings,
+        )?;
+        let mut run = self.run_work(patterns, &prepared.work, options, validation, parked)?;
+        if let Grid::Scenarios {
+            mc,
+            capture_deadline_ps,
+            ..
+        } = grid
+        {
+            run.scenario = Some(crate::scenario::summarize(
+                &run.slots,
+                mc,
+                capture_deadline_ps,
+            ));
+        }
+        Ok(run)
     }
 
     /// Simulates `slots` over `patterns` — the launch half of the
@@ -592,6 +525,8 @@ impl CompiledNetlist {
     ///   inconsistent stimuli,
     /// * [`SimError::InvalidOperatingPoint`] for a non-finite or
     ///   non-positive supply voltage,
+    /// * [`SimError::InvalidLanes`] for a lane width that is not a power
+    ///   of two within `1..=64`,
     /// * [`SimError::Validation`] under
     ///   [`ValidationMode::Deny`] when the up-front checks find a
     ///   warn-or-worse problem (e.g. a slot voltage outside the model's
@@ -606,22 +541,7 @@ impl CompiledNetlist {
         slots: &[SlotSpec],
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        self.launch_with(patterns, slots, options, Exec::default())
-    }
-
-    pub(crate) fn launch_with(
-        &self,
-        patterns: &PatternSet,
-        slots: &[SlotSpec],
-        options: &SimOptions,
-        mut exec: Exec<'_>,
-    ) -> Result<SimRun, SimError> {
-        let (work, slot_points) = self.prepare_uniform(patterns, slots)?;
-        let validation = match exec.prevalidated.take() {
-            Some(v) => v,
-            None => self.validate_launch(options.strict_validation, &slot_points)?,
-        };
-        self.run_work(patterns, &work, options, validation, &exec)
+        self.execute(patterns, Grid::Uniform(slots), options, None)
     }
 
     /// Simulates with per-node voltage *domains* (voltage islands): every
@@ -637,102 +557,31 @@ impl CompiledNetlist {
     ///
     /// # Errors
     ///
-    /// Same as [`CompiledNetlist::launch`], plus [`SimError::Model`]
-    /// variants surfaced through domain validation in
-    /// [`VoltageDomains`](crate::domains::VoltageDomains).
+    /// Same as [`CompiledNetlist::launch`] — every domain voltage is
+    /// checked like a slot voltage — plus
+    /// [`SimError::AnnotationMismatch`] for a domain map that does not
+    /// cover the netlist and [`SimError::BadPatternIndex`] for a slot
+    /// whose voltage count differs from the domain count.
     pub fn launch_domains(
         &self,
         patterns: &PatternSet,
-        domains: &crate::domains::VoltageDomains,
-        specs: &[crate::domains::DomainSlotSpec],
+        domains: &VoltageDomains,
+        specs: &[DomainSlotSpec],
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        self.launch_domains_with(patterns, domains, specs, options, Exec::default())
+        self.execute(patterns, Grid::Domains(domains, specs), options, None)
     }
 
-    pub(crate) fn launch_domains_with(
-        &self,
-        patterns: &PatternSet,
-        domains: &crate::domains::VoltageDomains,
-        specs: &[crate::domains::DomainSlotSpec],
-        options: &SimOptions,
-        mut exec: Exec<'_>,
-    ) -> Result<SimRun, SimError> {
-        if specs.is_empty() {
-            return Err(SimError::EmptySlots);
-        }
-        if domains.len() != self.netlist.num_nodes() {
-            return Err(SimError::AnnotationMismatch);
-        }
-        let space = self.model.space();
-        let c_min = space.load_range().0;
-        // Each distinct (slot, domain) supply is a checked operating
-        // point — islands extend the validation the same way they extend
-        // the voltage assignment.
-        let slot_points: Vec<(String, OperatingPoint)> = specs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, spec)| {
-                spec.voltages.iter().enumerate().map(move |(d, &v)| {
-                    (
-                        format!("slot {i}/domain {d}"),
-                        OperatingPoint::new(v, c_min),
-                    )
-                })
-            })
-            .collect();
-        let validation = match exec.prevalidated.take() {
-            Some(v) => v,
-            None => self.validate_launch(options.strict_validation, &slot_points)?,
-        };
-        let work: Vec<SlotWork> = specs
-            .iter()
-            .map(|spec| {
-                if spec.voltages.len() != domains.count() {
-                    return Err(SimError::BadPatternIndex {
-                        index: spec.voltages.len(),
-                        available: domains.count(),
-                    });
-                }
-                // Normalize each domain voltage once, then expand per node.
-                let per_domain: Vec<f64> = spec
-                    .voltages
-                    .iter()
-                    .map(|&v| {
-                        space
-                            .normalize_clamped(avfs_delay::op::OperatingPoint::new(v, c_min))
-                            .v
-                    })
-                    .collect();
-                let per_node: Vec<f64> = (0..self.netlist.num_nodes())
-                    .map(|n| per_domain[domains.domain_of_index(n)])
-                    .collect();
-                Ok(SlotWork {
-                    pattern: spec.pattern,
-                    assign: VoltageAssign::PerNode(Arc::new(per_node)),
-                    voltage: spec.voltages[0],
-                    variation: None,
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        for w in &work {
-            if w.pattern >= patterns.len() {
-                return Err(SimError::BadPatternIndex {
-                    index: w.pattern,
-                    available: patterns.len(),
-                });
-            }
-        }
-        self.run_work(patterns, &work, options, validation, &exec)
-    }
-
-    pub(crate) fn run_work(
+    /// Runs a prepared work list in waveform-budget batches, with
+    /// quarantine-and-retry rounds for overflowing slots, on the `parked`
+    /// workers or on workers spawned for this run.
+    fn run_work(
         &self,
         patterns: &PatternSet,
         work: &[SlotWork],
         options: &SimOptions,
         validation_findings: Vec<String>,
-        exec: &Exec<'_>,
+        parked: Option<&Workers>,
     ) -> Result<SimRun, SimError> {
         let nodes = self.netlist.num_nodes();
         // Lane-width hygiene before any work launches: masks are single
@@ -789,14 +638,21 @@ impl CompiledNetlist {
         // barriers) from a monitor thread; it never intervenes, so arming
         // it cannot perturb results. Disarmed on drop, Err paths included.
         let watchdog = options.stall_timeout.map(Watchdog::arm);
-        // The persistent pool: a caller-parked pool (Session/BatchRunner)
-        // is reused as-is; otherwise workers are spawned once here and
-        // parked between levels. Either way every level of every batch
+        // The caller's parked workers, or workers spawned here and
+        // joined when the run returns; the spawn counts against the
+        // deadline like the rest of the run. Every level of every batch
         // and retry round is released through the pool's epoch barrier
-        // (the GPU grid analogue). A single-threaded run needs no pool.
-        let threads = options.resolved_threads();
-        let owned_pool = (exec.pool.is_none() && threads > 1).then(|| WorkerPool::new(threads));
-        let pool = exec.pool.or(owned_pool.as_ref());
+        // (the GPU grid analogue). A single-threaded run has no pool and
+        // executes inline.
+        let own;
+        let workers = match parked {
+            Some(workers) => workers,
+            None => {
+                own = Workers::new(options.threads);
+                &own
+            }
+        };
+        let pool = workers.pool();
         let tallies = PoolTallies::new(pool.map_or(1, WorkerPool::size));
         let mut diag = RunDiagnostics {
             clamped_loads: self.clamped_loads,
@@ -957,7 +813,7 @@ impl CompiledNetlist {
             .into_iter()
             .map(|r| r.expect("every slot resolved by the retry loop"))
             .collect();
-        if !exec.allow_total_loss && slots.iter().all(|s| !s.status.is_completed()) {
+        if slots.iter().all(|s| !s.status.is_completed()) {
             return Err(SimError::AllSlotsFailed { slots: slots.len() });
         }
         if let Some(m) = metrics {
@@ -1750,27 +1606,27 @@ impl PoolTallies {
 /// One slot's resolved work: which pattern to replay under which voltage
 /// assignment.
 #[derive(Debug, Clone)]
-pub(crate) struct SlotWork {
-    pub(crate) pattern: usize,
-    pub(crate) assign: VoltageAssign,
+struct SlotWork {
+    pattern: usize,
+    assign: VoltageAssign,
     /// Representative voltage reported in the result spec (the global
     /// supply for uniform slots, the domain-0 supply for island slots,
     /// the segment-0 supply for scheduled slots).
-    pub(crate) voltage: f64,
+    voltage: f64,
     /// Monte Carlo process-variation sample of this slot (`None` = the
     /// nominal die). Part of the voltage-group key: two slots share a
     /// delay-initialization group only when both their voltage
     /// assignment *and* their die agree.
-    pub(crate) variation: Option<VariationSample>,
+    variation: Option<VariationSample>,
 }
 
 /// One Monte Carlo die: a variation configuration plus the sample index
 /// that addresses its hashed draws (see
 /// [`avfs_delay::variation::derate`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct VariationSample {
-    pub(crate) config: avfs_delay::VariationConfig,
-    pub(crate) sample: u32,
+struct VariationSample {
+    config: avfs_delay::VariationConfig,
+    sample: u32,
 }
 
 /// Normalized voltage assignment of one slot.
@@ -1868,8 +1724,11 @@ struct GroupDelays<'l> {
 mod tests {
     use super::*;
     use crate::slots::{at_voltage, cross};
+    use avfs_delay::model::DelayModel;
     use avfs_delay::op::NormalizedPoint;
+    use avfs_delay::TimingAnnotation;
     use avfs_delay::{ParameterSpace, StaticModel};
+    use avfs_netlist::Netlist;
     use avfs_netlist::{CellLibrary, NetlistBuilder, NodeKind};
 
     fn chain_netlist() -> Arc<Netlist> {
@@ -1882,7 +1741,7 @@ mod tests {
         Arc::new(b.finish().unwrap())
     }
 
-    fn static_engine(netlist: &Arc<Netlist>, rise: f64, fall: f64) -> Engine {
+    fn static_engine(netlist: &Arc<Netlist>, rise: f64, fall: f64) -> CompiledNetlist {
         let mut ann = TimingAnnotation::zero(netlist);
         for (id, node) in netlist.iter() {
             if matches!(node.kind(), NodeKind::Gate(_)) {
@@ -1891,7 +1750,7 @@ mod tests {
                 }
             }
         }
-        Engine::new(
+        CompiledNetlist::compile(
             Arc::clone(netlist),
             Arc::new(ann),
             Arc::new(StaticModel::new(ParameterSpace::paper())),
@@ -1917,7 +1776,7 @@ mod tests {
             ..SimOptions::default()
         };
         let run = engine
-            .run(&one_pattern(), &at_voltage(1, 0.8), &opts)
+            .launch(&one_pattern(), &at_voltage(1, 0.8), &opts)
             .unwrap();
         assert_eq!(run.slots.len(), 1);
         let slot = &run.slots[0];
@@ -1937,7 +1796,7 @@ mod tests {
         let n = chain_netlist();
         let engine = static_engine(&n, 5.0, 7.0);
         let run = engine
-            .run(
+            .launch(
                 &one_pattern(),
                 &cross(1, &[0.6, 0.8, 1.0]),
                 &SimOptions {
@@ -1965,7 +1824,7 @@ mod tests {
         let patterns = one_pattern();
         let slots = cross(1, &[0.8, 0.9, 1.0, 1.1]);
         let big = engine
-            .run(
+            .launch(
                 &patterns,
                 &slots,
                 &SimOptions {
@@ -1975,7 +1834,7 @@ mod tests {
             )
             .unwrap();
         let tiny = engine
-            .run(
+            .launch(
                 &patterns,
                 &slots,
                 &SimOptions {
@@ -2007,7 +1866,7 @@ mod tests {
         let glitch = glitch_netlist();
         let glitch_engine = static_engine(&glitch, 10.0, 10.0);
         let chain = chain_netlist();
-        let panicky_engine = Engine::new(
+        let panicky_engine = CompiledNetlist::compile(
             Arc::clone(&chain),
             Arc::new(
                 static_engine(&chain, 10.0, 10.0)
@@ -2026,7 +1885,7 @@ mod tests {
                 "normal",
                 Box::new(|opts| {
                     rnd_engine
-                        .run(
+                        .launch(
                             &rnd_patterns,
                             &cross(4, &[0.8, 1.0]),
                             &SimOptions {
@@ -2041,7 +1900,7 @@ mod tests {
                 "overflow-retry",
                 Box::new(|opts| {
                     glitch_engine
-                        .run(
+                        .launch(
                             &one_pattern(),
                             &cross(1, &[0.7, 0.8, 0.9, 1.0]),
                             &SimOptions {
@@ -2058,7 +1917,7 @@ mod tests {
                 Box::new(|opts| {
                     // 1.1 V normalizes to the poisoned operating point.
                     panicky_engine
-                        .run(&one_pattern(), &cross(1, &[0.8, 1.1, 0.9]), &opts)
+                        .launch(&one_pattern(), &cross(1, &[0.8, 1.1, 0.9]), &opts)
                         .unwrap()
                 }),
             ),
@@ -2139,7 +1998,9 @@ mod tests {
             keep_waveforms: true,
             ..SimOptions::default()
         };
-        let run = engine.run(&patterns, &at_voltage(1, 0.8), &opts).unwrap();
+        let run = engine
+            .launch(&patterns, &at_voltage(1, 0.8), &opts)
+            .unwrap();
         assert!(run.is_complete());
         let gates = n
             .iter()
@@ -2164,7 +2025,7 @@ mod tests {
         }
         // The ungated run agrees bit for bit and reports no skip counter.
         let ungated = engine
-            .run(
+            .launch(
                 &patterns,
                 &at_voltage(1, 0.8),
                 &SimOptions {
@@ -2192,7 +2053,7 @@ mod tests {
         let patterns = one_pattern();
         for lanes in [3usize, 5, 6, 128] {
             let err = engine
-                .run(
+                .launch(
                     &patterns,
                     &at_voltage(1, 0.8),
                     &SimOptions {
@@ -2207,7 +2068,7 @@ mod tests {
         // 0 resolves to the default width; every power of two ≤ 64 works.
         for lanes in [0usize, 1, 2, 64] {
             engine
-                .run(
+                .launch(
                     &patterns,
                     &at_voltage(1, 0.8),
                     &SimOptions {
@@ -2242,9 +2103,9 @@ mod tests {
             keep_waveforms: true,
             ..SimOptions::default()
         };
-        let reference = engine.run(&patterns, &slots, &opts(1)).unwrap();
+        let reference = engine.launch(&patterns, &slots, &opts(1)).unwrap();
         for lanes in [4, 64] {
-            let got = engine.run(&patterns, &slots, &opts(lanes)).unwrap();
+            let got = engine.launch(&patterns, &slots, &opts(lanes)).unwrap();
             assert_eq!(got.slots, reference.slots, "lanes={lanes}");
             assert_eq!(got.diagnostics, reference.diagnostics, "lanes={lanes}");
         }
@@ -2281,13 +2142,13 @@ mod tests {
             keep_waveforms: true,
             ..SimOptions::default()
         };
-        let reference = engine.run(&patterns, &slots, &opts(1)).unwrap();
+        let reference = engine.launch(&patterns, &slots, &opts(1)).unwrap();
         assert!(
             reference.diagnostics.slot_retries > 0,
             "glitch slots must hit the quarantine-and-retry path"
         );
         for lanes in [4, 8] {
-            let got = engine.run(&patterns, &slots, &opts(lanes)).unwrap();
+            let got = engine.launch(&patterns, &slots, &opts(lanes)).unwrap();
             assert_eq!(got.slots, reference.slots, "lanes={lanes}");
             assert_eq!(got.diagnostics, reference.diagnostics, "lanes={lanes}");
         }
@@ -2299,7 +2160,7 @@ mod tests {
         let engine = static_engine(&n, 10.0, 10.0);
         let patterns = one_pattern();
         let base = engine
-            .run(
+            .launch(
                 &patterns,
                 &at_voltage(1, 0.8),
                 &SimOptions {
@@ -2310,7 +2171,7 @@ mod tests {
             )
             .unwrap();
         let shifted = engine
-            .run(
+            .launch(
                 &patterns,
                 &at_voltage(1, 0.8),
                 &SimOptions {
@@ -2348,7 +2209,7 @@ mod tests {
                 }
             }
         }
-        let engine = Engine::new(
+        let engine = CompiledNetlist::compile(
             Arc::clone(&n),
             Arc::new(ann),
             Arc::new(avfs_delay::AlphaPowerModel::new(
@@ -2379,12 +2240,12 @@ mod tests {
             },
         ];
         let run = engine
-            .run_domains(&patterns, &domains, &mixed, &opts)
+            .launch_domains(&patterns, &domains, &mixed, &opts)
             .unwrap();
         assert_eq!(run.slots.len(), 3);
         for (spec, slot) in mixed.iter().zip(&run.slots) {
             let solo = engine
-                .run_domains(&patterns, &domains, std::slice::from_ref(spec), &opts)
+                .launch_domains(&patterns, &domains, std::slice::from_ref(spec), &opts)
                 .unwrap();
             assert_eq!(slot.responses, solo.slots[0].responses);
             assert_eq!(
@@ -2400,11 +2261,11 @@ mod tests {
         let engine = static_engine(&n, 1.0, 1.0);
         let patterns = one_pattern();
         assert!(matches!(
-            engine.run(&patterns, &[], &SimOptions::default()),
+            engine.launch(&patterns, &[], &SimOptions::default()),
             Err(SimError::EmptySlots)
         ));
         assert!(matches!(
-            engine.run(
+            engine.launch(
                 &patterns,
                 &[SlotSpec {
                     pattern: 7,
@@ -2423,7 +2284,7 @@ mod tests {
             std::iter::once(PatternPair::new(Pattern::zeros(3), Pattern::zeros(3)).unwrap())
                 .collect();
         assert!(matches!(
-            engine.run(&wide, &at_voltage(1, 0.8), &SimOptions::default()),
+            engine.launch(&wide, &at_voltage(1, 0.8), &SimOptions::default()),
             Err(SimError::PatternWidth {
                 expected: 1,
                 got: 3
@@ -2444,7 +2305,7 @@ mod tests {
         let ann = Arc::new(TimingAnnotation::zero(&other));
         let model = Arc::new(StaticModel::new(ParameterSpace::paper()));
         assert!(matches!(
-            Engine::new(Arc::clone(&n), ann, model),
+            CompiledNetlist::compile(Arc::clone(&n), ann, model),
             Err(SimError::AnnotationMismatch)
         ));
     }
@@ -2530,7 +2391,7 @@ mod tests {
                     voltage: bad,
                 },
             ];
-            match engine.run(&patterns, &slots, &SimOptions::default()) {
+            match engine.launch(&patterns, &slots, &SimOptions::default()) {
                 Err(SimError::InvalidOperatingPoint { slot: 1, voltage }) => {
                     assert!(voltage.is_nan() || voltage == bad);
                 }
@@ -2547,14 +2408,14 @@ mod tests {
         let mut ann = TimingAnnotation::zero(&n);
         ann.set_load_ff(n.find("g1").unwrap(), f64::NAN);
         assert!(matches!(
-            Engine::new(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
+            CompiledNetlist::compile(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
             Err(SimError::InvalidLoad { node, .. }) if node == "g1"
         ));
         // Negative load.
         let mut ann = TimingAnnotation::zero(&n);
         ann.set_load_ff(n.find("g2").unwrap(), -3.0);
         assert!(matches!(
-            Engine::new(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
+            CompiledNetlist::compile(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
             Err(SimError::InvalidLoad { node, load }) if node == "g2" && load == -3.0
         ));
         // Non-finite delay.
@@ -2564,7 +2425,7 @@ mod tests {
             fall: 1.0,
         };
         assert!(matches!(
-            Engine::new(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
+            CompiledNetlist::compile(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
             Err(SimError::InvalidDelay { gate, pin: 0 }) if gate == "g1"
         ));
         // Negative delay.
@@ -2574,7 +2435,7 @@ mod tests {
             fall: -2.0,
         };
         assert!(matches!(
-            Engine::new(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
+            CompiledNetlist::compile(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
             Err(SimError::InvalidDelay { gate, pin: 0 }) if gate == "g2"
         ));
     }
@@ -2591,7 +2452,7 @@ mod tests {
         let n = Arc::new(b.finish_unchecked());
         let ann = Arc::new(TimingAnnotation::zero(&n));
         let model = Arc::new(StaticModel::new(ParameterSpace::paper()));
-        match Engine::new(n, ann, model) {
+        match CompiledNetlist::compile(n, ann, model) {
             Err(SimError::Netlist(avfs_netlist::NetlistError::CombinationalLoop { nodes })) => {
                 let mut nodes = nodes;
                 nodes.sort();
@@ -2628,7 +2489,7 @@ mod tests {
             }
         }
         let n = chain_netlist();
-        let engine = Engine::new(
+        let engine = CompiledNetlist::compile(
             Arc::clone(&n),
             Arc::new(TimingAnnotation::zero(&n)),
             Arc::new(NoKernelModel {
@@ -2637,7 +2498,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            engine.run(&one_pattern(), &at_voltage(1, 0.8), &SimOptions::default()),
+            engine.launch(&one_pattern(), &at_voltage(1, 0.8), &SimOptions::default()),
             Err(SimError::Model(avfs_delay::DelayError::MissingCell { .. }))
         ));
     }
@@ -2655,7 +2516,9 @@ mod tests {
             arena_capacity: 1,
             ..SimOptions::default()
         };
-        let run = engine.run(&patterns, &at_voltage(1, 0.8), &tight).unwrap();
+        let run = engine
+            .launch(&patterns, &at_voltage(1, 0.8), &tight)
+            .unwrap();
         assert!(run.is_complete());
         assert_eq!(run.slots[0].status, SlotStatus::Completed { retries: 1 });
         assert_eq!(run.diagnostics.overflowed_slots, vec![0]);
@@ -2666,7 +2529,7 @@ mod tests {
         assert_eq!(run.node_evaluations, 2 * n.num_nodes() as u64);
         // The retried result is identical to an untroubled run.
         let easy = engine
-            .run(
+            .launch(
                 &patterns,
                 &at_voltage(1, 0.8),
                 &SimOptions {
@@ -2709,7 +2572,7 @@ mod tests {
             overflow_retries: 0,
             ..SimOptions::default()
         };
-        let run = engine.run(&patterns, &slots, &opts).unwrap();
+        let run = engine.launch(&patterns, &slots, &opts).unwrap();
         assert!(!run.is_complete());
         assert_eq!(run.slots[0].status, SlotStatus::Overflowed { capacity: 1 });
         assert!(run.slots[0].responses.is_empty());
@@ -2731,7 +2594,7 @@ mod tests {
             ..SimOptions::default()
         };
         assert!(matches!(
-            engine.run(&one_pattern(), &at_voltage(1, 0.8), &opts),
+            engine.launch(&one_pattern(), &at_voltage(1, 0.8), &opts),
             Err(SimError::AllSlotsFailed { slots: 1 })
         ));
     }
@@ -2739,7 +2602,7 @@ mod tests {
     #[test]
     fn panicking_slot_is_contained() {
         let n = chain_netlist();
-        let engine = Engine::new(
+        let engine = CompiledNetlist::compile(
             Arc::clone(&n),
             Arc::new(static_engine(&n, 10.0, 10.0).annotation().as_ref().clone()),
             Arc::new(PanickyModel {
@@ -2755,7 +2618,7 @@ mod tests {
                 threads,
                 ..SimOptions::default()
             };
-            let run = engine.run(&patterns, &slots, &opts).unwrap();
+            let run = engine.launch(&patterns, &slots, &opts).unwrap();
             assert!(!run.is_complete());
             assert_eq!(run.slots[1].status, SlotStatus::Panicked);
             assert!(run.slots[1].responses.is_empty());
@@ -2770,7 +2633,7 @@ mod tests {
         }
         // All slots at the poisoned point → the run itself errors.
         assert!(matches!(
-            engine.run(&patterns, &at_voltage(1, 1.1), &SimOptions::default()),
+            engine.launch(&patterns, &at_voltage(1, 1.1), &SimOptions::default()),
             Err(SimError::AllSlotsFailed { slots: 1 })
         ));
     }
@@ -2787,7 +2650,7 @@ mod tests {
                 };
             }
         }
-        let broken = Engine::new(
+        let broken = CompiledNetlist::compile(
             Arc::clone(&n),
             Arc::new(ann),
             Arc::new(BrokenKernelModel {
@@ -2800,13 +2663,13 @@ mod tests {
             ..SimOptions::default()
         };
         let run = broken
-            .run(&one_pattern(), &at_voltage(1, 0.8), &opts)
+            .launch(&one_pattern(), &at_voltage(1, 0.8), &opts)
             .unwrap();
         // Every scaled delay was non-finite; all fell back to nominal.
         assert!(run.diagnostics.kernel_fallbacks > 0);
         assert!(run.is_complete());
         let nominal = static_engine(&n, 10.0, 10.0)
-            .run(&one_pattern(), &at_voltage(1, 0.8), &opts)
+            .launch(&one_pattern(), &at_voltage(1, 0.8), &opts)
             .unwrap();
         assert_eq!(run.slots[0].responses, nominal.slots[0].responses);
         assert_eq!(
@@ -2824,7 +2687,7 @@ mod tests {
         let n = chain_netlist();
         let engine = static_engine(&n, 1.0, 1.0);
         let run = engine
-            .run(
+            .launch(
                 &one_pattern(),
                 &at_voltage(1, 0.8),
                 &SimOptions {
@@ -2845,7 +2708,7 @@ mod tests {
         // default) clamps-and-records, Deny refuses the launch.
         let low = at_voltage(1, 0.3);
         let warn = engine
-            .run(
+            .launch(
                 &patterns,
                 &low,
                 &SimOptions {
@@ -2863,7 +2726,7 @@ mod tests {
             warn.diagnostics.validation_findings
         );
         let off = engine
-            .run(
+            .launch(
                 &patterns,
                 &low,
                 &SimOptions {
@@ -2875,7 +2738,7 @@ mod tests {
             .unwrap();
         assert!(off.diagnostics.validation_findings.is_empty());
         assert_eq!(off.slots, warn.slots, "validation never changes results");
-        let denied = engine.run(
+        let denied = engine.launch(
             &patterns,
             &low,
             &SimOptions {
@@ -2910,7 +2773,7 @@ mod tests {
             })
             .collect();
         let ann = TimingAnnotation::from_parts(delays, vec![1.0; n.num_nodes()]);
-        let engine = Engine::new(
+        let engine = CompiledNetlist::compile(
             Arc::clone(&n),
             Arc::new(ann),
             Arc::new(StaticModel::new(ParameterSpace::paper())),
@@ -2918,7 +2781,7 @@ mod tests {
         .unwrap();
         assert!(engine.setup_findings().is_empty());
         let run = engine
-            .run(
+            .launch(
                 &one_pattern(),
                 &at_voltage(1, 0.8),
                 &SimOptions {
@@ -2945,7 +2808,7 @@ mod tests {
         let n = Arc::new(b.finish().unwrap());
         let engine = static_engine(&n, 10.0, 10.0);
         let run = engine
-            .run(
+            .launch(
                 &one_pattern(),
                 &at_voltage(1, 0.8),
                 &SimOptions {
@@ -2996,8 +2859,8 @@ mod tests {
         }
     }
 
-    fn slow_engine(netlist: &Arc<Netlist>, sleep: Duration) -> Engine {
-        Engine::new(
+    fn slow_engine(netlist: &Arc<Netlist>, sleep: Duration) -> CompiledNetlist {
+        CompiledNetlist::compile(
             Arc::clone(netlist),
             Arc::new(
                 static_engine(netlist, 10.0, 10.0)
@@ -3038,7 +2901,7 @@ mod tests {
         ];
         let budget = super::slot_arena_bytes(n.num_nodes(), 4) - 1;
         let run = engine
-            .run(
+            .launch(
                 &patterns,
                 &slots,
                 &SimOptions {
@@ -3060,7 +2923,7 @@ mod tests {
         assert_eq!(run.diagnostics.failed_slots, vec![0]);
         // One byte more admits the retry and the slot completes.
         let run = engine
-            .run(
+            .launch(
                 &patterns,
                 &slots,
                 &SimOptions {
@@ -3083,7 +2946,7 @@ mod tests {
         // other total failure.
         let n = chain_netlist();
         let engine = static_engine(&n, 10.0, 10.0);
-        let err = engine.run(
+        let err = engine.launch(
             &one_pattern(),
             &cross(1, &[0.7, 0.8, 0.9]),
             &SimOptions {
@@ -3105,7 +2968,7 @@ mod tests {
         // 1.1 V normalizes to the slow operating point.
         let slots = cross(1, &[0.8, 1.1]);
         let run = engine
-            .run(
+            .launch(
                 &one_pattern(),
                 &slots,
                 &SimOptions {
@@ -3136,7 +2999,7 @@ mod tests {
         // The slow kernel phase stalls far past the 5 ms timeout; the
         // watchdog observes it but the run still completes untouched.
         let run = engine
-            .run(
+            .launch(
                 &one_pattern(),
                 &at_voltage(1, 1.1),
                 &SimOptions {
@@ -3154,7 +3017,7 @@ mod tests {
         );
         // A generous timeout on a fast run records nothing.
         let calm = engine
-            .run(
+            .launch(
                 &one_pattern(),
                 &at_voltage(1, 0.8),
                 &SimOptions {
@@ -3184,7 +3047,7 @@ mod tests {
             fault_plan: Some(Arc::clone(&plan)),
             ..SimOptions::default()
         };
-        let run = engine.run(&one_pattern(), &slots, &opts).unwrap();
+        let run = engine.launch(&one_pattern(), &slots, &opts).unwrap();
         let mut predicted_hits = 0;
         for (i, slot) in run.slots.iter().enumerate() {
             if plan.decide(InjectionSite::ArenaOverflow, i as u64, 0) {
@@ -3211,7 +3074,7 @@ mod tests {
         );
         // Replay from a fresh plan with the same seed.
         let replay = engine
-            .run(
+            .launch(
                 &one_pattern(),
                 &slots,
                 &SimOptions {
@@ -3231,7 +3094,7 @@ mod tests {
         let slots = cross(1, &[0.8; 4]);
         let plan = Arc::new(FaultPlan::empty(3).with_rate(InjectionSite::KernelPanic, 0.5));
         let run = engine
-            .run(
+            .launch(
                 &one_pattern(),
                 &slots,
                 &SimOptions {
@@ -3271,7 +3134,7 @@ mod tests {
             ..SimOptions::default()
         };
         let injected = engine
-            .run(
+            .launch(
                 &one_pattern(),
                 &at_voltage(1, 0.8),
                 &SimOptions {
@@ -3281,7 +3144,7 @@ mod tests {
             )
             .unwrap();
         let clean = engine
-            .run(&one_pattern(), &at_voltage(1, 0.8), &opts)
+            .launch(&one_pattern(), &at_voltage(1, 0.8), &opts)
             .unwrap();
         assert!(injected.is_complete());
         assert!(injected.diagnostics.kernel_fallbacks > 0);
@@ -3317,7 +3180,7 @@ mod tests {
         ];
         let plan = Arc::new(FaultPlan::empty(9).with_rate(InjectionSite::AllocCapBreach, 1.0));
         let run = engine
-            .run(
+            .launch(
                 &patterns,
                 &slots,
                 &SimOptions {
@@ -3368,7 +3231,7 @@ mod tests {
         }
     }
 
-    fn voltage_scaled_engine(netlist: &Arc<Netlist>, rise: f64, fall: f64) -> Engine {
+    fn voltage_scaled_engine(netlist: &Arc<Netlist>, rise: f64, fall: f64) -> CompiledNetlist {
         let mut ann = TimingAnnotation::zero(netlist);
         for (id, node) in netlist.iter() {
             if matches!(node.kind(), NodeKind::Gate(_)) {
@@ -3377,7 +3240,7 @@ mod tests {
                 }
             }
         }
-        Engine::new(
+        CompiledNetlist::compile(
             Arc::clone(netlist),
             Arc::new(ann),
             Arc::new(VoltageScaledModel {
@@ -3415,9 +3278,9 @@ mod tests {
                         ..SimOptions::default()
                     };
                     let case = format!("threads={threads}, lanes={lanes}, profiling={profiling}");
-                    let fixed = engine.run(&patterns, &slots, &opts).unwrap();
+                    let fixed = engine.launch(&patterns, &slots, &opts).unwrap();
                     let scheduled = engine
-                        .run_scenarios(&patterns, &scenarios, None, None, &opts)
+                        .launch_scenarios(&patterns, &scenarios, None, None, &opts)
                         .unwrap();
                     assert_eq!(scheduled.slots, fixed.slots, "{case}");
                     assert_eq!(scheduled.diagnostics, fixed.diagnostics, "{case}");
@@ -3471,7 +3334,7 @@ mod tests {
             },
         };
         let reference = engine
-            .run_scenarios(
+            .launch_scenarios(
                 &patterns,
                 &scenarios,
                 Some(&mc),
@@ -3489,7 +3352,7 @@ mod tests {
                 for profiling in [false, true] {
                     let case = format!("threads={threads}, lanes={lanes}, profiling={profiling}");
                     let got = engine
-                        .run_scenarios(
+                        .launch_scenarios(
                             &patterns,
                             &scenarios,
                             Some(&mc),
@@ -3553,7 +3416,7 @@ mod tests {
                 schedule: Schedule::steps([(0.0, v0), (boundary, v1)]),
             }];
             let run = engine
-                .run_scenarios(&one_pattern(), &scenarios, None, None, &opts)
+                .launch_scenarios(&one_pattern(), &scenarios, None, None, &opts)
                 .unwrap();
             run.slots[0].latest_output_transition_ps.unwrap()
         };
@@ -3596,15 +3459,15 @@ mod tests {
             },
         };
         let a = engine
-            .run_scenarios(&patterns, &scenarios, Some(&mc(0.08, 7)), None, &opts)
+            .launch_scenarios(&patterns, &scenarios, Some(&mc(0.08, 7)), None, &opts)
             .unwrap();
         let b = engine
-            .run_scenarios(&patterns, &scenarios, Some(&mc(0.08, 7)), None, &opts)
+            .launch_scenarios(&patterns, &scenarios, Some(&mc(0.08, 7)), None, &opts)
             .unwrap();
         assert_eq!(a.slots, b.slots, "same seed must replay exactly");
         assert_eq!(a.scenario, b.scenario);
         let c = engine
-            .run_scenarios(&patterns, &scenarios, Some(&mc(0.08, 8)), None, &opts)
+            .launch_scenarios(&patterns, &scenarios, Some(&mc(0.08, 8)), None, &opts)
             .unwrap();
         assert_ne!(
             a.slots
@@ -3621,7 +3484,7 @@ mod tests {
         // variation-free run bit for bit (slot-for-slot: each scenario's
         // single nominal die).
         let nominal = engine
-            .run_scenarios(
+            .launch_scenarios(
                 &patterns,
                 &scenarios,
                 Some(&MonteCarlo {
@@ -3637,7 +3500,7 @@ mod tests {
             )
             .unwrap();
         let plain = engine
-            .run_scenarios(&patterns, &scenarios, None, None, &opts)
+            .launch_scenarios(&patterns, &scenarios, None, None, &opts)
             .unwrap();
         assert_eq!(nominal.slots, plain.slots);
     }
@@ -3649,7 +3512,7 @@ mod tests {
         let patterns = one_pattern();
         let opts = SimOptions::default();
         let launch = |schedule: Schedule| {
-            engine.run_scenarios(
+            engine.launch_scenarios(
                 &patterns,
                 &[ScenarioSpec {
                     pattern: 0,
@@ -3689,13 +3552,13 @@ mod tests {
         // Empty launches.
         assert_eq!(
             engine
-                .run_scenarios(&patterns, &[], None, None, &opts)
+                .launch_scenarios(&patterns, &[], None, None, &opts)
                 .unwrap_err(),
             SimError::EmptySlots
         );
         assert_eq!(
             engine
-                .run_scenarios(
+                .launch_scenarios(
                     &patterns,
                     &[ScenarioSpec {
                         pattern: 0,
@@ -3712,7 +3575,7 @@ mod tests {
             SimError::EmptySlots
         );
         // Pattern index out of range.
-        match engine.run_scenarios(
+        match engine.launch_scenarios(
             &patterns,
             &[ScenarioSpec {
                 pattern: 7,
@@ -3741,7 +3604,7 @@ mod tests {
         let engine = voltage_scaled_engine(&n, 10.0, 10.0);
         let patterns = one_pattern();
         let launch = |schedule: Schedule, mode: ValidationMode| {
-            engine.run_scenarios(
+            engine.launch_scenarios(
                 &patterns,
                 &[ScenarioSpec {
                     pattern: 0,
@@ -3815,7 +3678,7 @@ mod tests {
         let scenarios =
             cross_schedules(1, &[Schedule::constant(slow_v), Schedule::constant(fast_v)]);
         let run = engine
-            .run_scenarios(
+            .launch_scenarios(
                 &one_pattern(),
                 &scenarios,
                 None,

@@ -1,8 +1,13 @@
 //! Massively parallel voltage-aware gate-level time simulation — the
 //! paper's primary contribution (Sec. IV).
 //!
-//! The centerpiece is [`engine::Engine`], a CPU realization of the GPU
-//! execution model of Fig. 3:
+//! The centerpiece is [`CompiledNetlist`]: a netlist, timing annotation
+//! and delay model compiled once ([`CompiledNetlist::compile`]) and
+//! launched any number of times ([`CompiledNetlist::launch`],
+//! [`CompiledNetlist::launch_domains`],
+//! [`CompiledNetlist::launch_scenarios`]). Every launch takes one path —
+//! prepare the slot grid, validate it, run it — on a CPU realization of
+//! the GPU execution model of Fig. 3:
 //!
 //! * **vertical dimension** — structural parallelism: the circuit is
 //!   processed level by level, all gates of a level concurrently;
@@ -19,6 +24,12 @@
 //! and slots are processed in batches sized to a configurable memory
 //! budget, exactly as a GPU launches as many slots as fit.
 //!
+//! A bare launch spawns its worker threads per call. [`Session`] parks
+//! them across the launches of one artifact, and [`BatchRunner`] adds
+//! bounded caches of compiled artifacts and characterized libraries; both
+//! run exactly the launch path above, so their results are bit-identical
+//! to a bare launch.
+//!
 //! The comparison baselines live alongside:
 //!
 //! * [`event_driven`] — a serial event-driven time simulator (the
@@ -31,7 +42,7 @@
 //!   [`sta::crosscheck`] driver, which proves `sim ≤ sta` per run
 //!   (DESIGN.md §16),
 //! * [`api::TimeSimulator`] — a high-level facade wiring netlist,
-//!   annotation, model and engine together for the examples and benches.
+//!   annotation and model into one compiled artifact for the examples.
 //!
 //! On top of the static grid, [`scenario`] makes the operating point a
 //! *function of time*: piecewise `(t_start, V)` supply [`Schedule`]s per
@@ -70,7 +81,7 @@ pub use batch::{BatchRunner, CompileKey};
 pub use compile::CompiledNetlist;
 pub use delay_fault::{DelayFaultSimulator, FaultVerdict, SmallDelayFault};
 pub use domains::{DomainSlotSpec, VoltageDomains};
-pub use engine::{Engine, SimOptions, ValidationMode};
+pub use engine::{SimOptions, ValidationMode};
 pub use event_driven::EventDrivenSimulator;
 pub use power::{energy_by_voltage, slot_energy, EnergyEstimate};
 pub use results::{RunDiagnostics, SimRun, SlotResult, SlotStatus};

@@ -157,10 +157,6 @@ pub const ENGINE_LIBRARY_MISSES: &str = "engine.library_misses";
 /// queue.
 pub const ENGINE_BATCH_RUNS: &str = "engine.batch_runs";
 
-/// Shards executed across all [`BatchRunner`](crate::BatchRunner) runs
-/// (1 per unsharded run).
-pub const ENGINE_BATCH_SHARDS: &str = "engine.batch_shards";
-
 /// Histogram of [`BatchRunner`](crate::BatchRunner) run-queue depth:
 /// how many runs were already waiting on (or holding) the parked pool
 /// when each run got in line — 0 means the pool was free.

@@ -63,10 +63,8 @@ struct Shared {
 }
 
 /// A pool of parked worker threads released level-by-level via an epoch
-/// barrier. Created once per [`Session`](crate::session::Session) /
-/// [`BatchRunner`](crate::batch::BatchRunner) (or once per run by a bare
-/// [`Engine::run`](crate::Engine::run)) and reusable across any number of
-/// runs; dropping it joins all workers.
+/// barrier. Owned by a [`Workers`] holder and reusable across any number
+/// of runs; dropping it joins all workers.
 pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -187,6 +185,61 @@ impl std::fmt::Debug for WorkerPool {
         f.debug_struct("WorkerPool")
             .field("size", &self.size())
             .finish()
+    }
+}
+
+/// The worker threads of one or more launches: a thread count resolved
+/// once (`0` selects the machine's available parallelism) plus, above one
+/// thread, a [`WorkerPool`]. [`Session`](crate::session::Session) and
+/// [`BatchRunner`](crate::batch::BatchRunner) park one across runs; a bare
+/// [`CompiledNetlist::launch`](crate::CompiledNetlist::launch) builds one
+/// per call.
+#[derive(Debug)]
+pub(crate) struct Workers {
+    threads: usize,
+    /// `None` for a single thread: the launch runs inline on the caller.
+    pool: Option<WorkerPool>,
+}
+
+impl Workers {
+    /// Resolves `threads` and spawns the pool (if any) now.
+    pub(crate) fn new(threads: usize) -> Workers {
+        let threads = if threads == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            threads
+        };
+        Workers {
+            threads,
+            pool: (threads > 1).then(|| WorkerPool::new(threads)),
+        }
+    }
+
+    /// The resolved worker count.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// The pool, `None` for a single thread.
+    pub(crate) fn pool(&self) -> Option<&WorkerPool> {
+        self.pool.as_ref()
+    }
+
+    /// Refuses a launch that requests `requested` threads of these
+    /// workers: a parked pool cannot be resized, so only `0` (auto) and
+    /// the resolved count are accepted.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ThreadMismatch`](crate::SimError::ThreadMismatch).
+    pub(crate) fn check_threads(&self, requested: usize) -> Result<(), crate::SimError> {
+        if requested != 0 && requested != self.threads {
+            return Err(crate::SimError::ThreadMismatch {
+                pool: self.threads,
+                requested,
+            });
+        }
+        Ok(())
     }
 }
 

@@ -16,7 +16,7 @@
 //! "die": a deterministic per-`(sample, node, pin, polarity)` delay
 //! derate drawn by hashing, never by a stateful RNG (see
 //! [`avfs_delay::variation::derate`]), so draws are independent of the
-//! schedule, of slot order, of sharding, and of the thread count —
+//! schedule, of slot order, of batch boundaries, and of the thread count —
 //! replaying a seed replays the dice exactly. The run's
 //! [`ScenarioSummary`] reduces the sampled slots into a
 //! failure-probability-vs-voltage curve against a capture deadline.
@@ -27,7 +27,7 @@
 //! assignment as a static slot before any kernel work happens, so a
 //! constant-schedule scenario run is **bit-identical** to the
 //! corresponding static run — same responses, same arrival times, same
-//! profile — at every thread count, lane width, and shard split:
+//! profile — at every thread count, lane width, and batch split:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -67,13 +67,10 @@
 //! ```
 
 use crate::compile::CompiledNetlist;
-use crate::engine::{
-    Exec, NormalizedSchedule, SimOptions, SlotWork, VariationSample, VoltageAssign,
-};
+use crate::engine::{Grid, NormalizedSchedule, SimOptions, VoltageAssign};
 use crate::results::{SimRun, SlotResult};
 use crate::SimError;
 use avfs_atpg::PatternSet;
-use avfs_delay::op::OperatingPoint;
 use avfs_delay::VariationConfig;
 use std::sync::Arc;
 
@@ -178,7 +175,7 @@ pub fn cross_schedules(num_patterns: usize, schedules: &[Schedule]) -> Vec<Scena
 
 /// A Monte Carlo process-variation plan: expand every scenario into
 /// `samples` dice drawn from `variation`. Sample 0 of seed `s` is the
-/// same die in every launch, shard, and schedule — draws are pure hashes
+/// same die in every launch, batch, and schedule — draws are pure hashes
 /// of `(seed, sample, node, pin, polarity)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarlo {
@@ -269,141 +266,61 @@ pub(crate) fn summarize(
     }
 }
 
-impl CompiledNetlist {
-    /// Validates a scenario launch and resolves it into the internal work
-    /// list (per-slot voltage assignments plus Monte Carlo dice) and the
-    /// schedule lint findings the launch validation routes through
-    /// [`SimOptions::strict_validation`] — one finding set per scenario
-    /// *segment*, not per die, so findings don't multiply with the sample
-    /// count. Shared by [`CompiledNetlist::launch_scenarios`] and the
-    /// sharding [`BatchRunner`](crate::batch::BatchRunner).
-    ///
-    /// Schedules with no lowering semantics — empty, non-finite, or
-    /// non-increasing segment starts (`partition_point` needs a strictly
-    /// sorted finite boundary list) — are refused with
-    /// [`SimError::InvalidSchedule`] in *every* validation mode. The
-    /// repairable findings — a first segment not anchored at `t = 0`
-    /// (`AVC-N010`: lowering extends it back to the launch instant) and
-    /// supplies outside the characterized voltage range (`AVC-D006`: the
-    /// kernel clamps them onto the boundary) — are returned for the
-    /// mode-dependent launch validation instead.
-    ///
-    /// Scenario `i`'s dice occupy slots `i * samples .. (i + 1) * samples`
-    /// in launch order.
-    pub(crate) fn prepare_scenarios(
-        &self,
-        patterns: &PatternSet,
-        scenarios: &[ScenarioSpec],
-        mc: Option<&MonteCarlo>,
-    ) -> Result<(Vec<SlotWork>, Vec<avfs_check::Finding>), SimError> {
-        if scenarios.is_empty() {
-            return Err(SimError::EmptySlots);
-        }
-        if mc.is_some_and(|m| m.samples == 0) {
-            return Err(SimError::EmptySlots);
-        }
-        let width = self.netlist.inputs().len();
-        for pair in patterns {
-            if pair.width() != width {
-                return Err(SimError::PatternWidth {
-                    expected: width,
-                    got: pair.width(),
-                });
-            }
-        }
-        let space = self.model.space();
-        let c_min = space.load_range().0;
-        let (v_min, v_max) = space.voltage_range();
-        let mut findings = Vec::new();
-        let mut scenario_work: Vec<SlotWork> = Vec::with_capacity(scenarios.len());
-        for (i, spec) in scenarios.iter().enumerate() {
-            if spec.pattern >= patterns.len() {
-                return Err(SimError::BadPatternIndex {
-                    index: spec.pattern,
-                    available: patterns.len(),
-                });
-            }
-            // Voltage validity first (the same refusal a static slot
-            // gets), then schedule shape via the shared AVC-N010 lint.
-            for seg in &spec.schedule.segments {
-                if !seg.voltage.is_finite() || seg.voltage <= 0.0 {
-                    return Err(SimError::InvalidOperatingPoint {
-                        slot: i,
-                        voltage: seg.voltage,
-                    });
-                }
-            }
-            let segs = &spec.schedule.segments;
-            // Structurally un-lowerable shapes have no simulation
-            // semantics (the segment lookup's `partition_point` needs a
-            // strictly sorted finite boundary list), so they hard-fail
-            // regardless of `strict_validation`. Anything else the lint
-            // flags is repairable and goes through the validation mode.
-            let fatal = segs.is_empty()
-                || segs.iter().any(|s| !s.t_start_ps.is_finite())
-                || segs.windows(2).any(|w| w[1].t_start_ps <= w[0].t_start_ps);
-            let pairs: Vec<(f64, f64)> = segs.iter().map(|s| (s.t_start_ps, s.voltage)).collect();
-            let location = format!("scenario {i}");
-            let shape = avfs_check::schedule::lint_schedule(&location, &pairs);
-            if fatal {
-                let first = shape.first().expect("fatal schedule has a lint finding");
-                return Err(SimError::InvalidSchedule {
-                    slot: i,
-                    message: first.message.clone(),
-                });
-            }
-            findings.extend(shape);
-            findings.extend(avfs_check::schedule::lint_schedule_voltages(
-                &location, &pairs, v_min, v_max,
-            ));
-            let v_norms: Vec<f64> = spec
-                .schedule
-                .segments
-                .iter()
-                .map(|seg| {
-                    space
-                        .normalize_clamped(OperatingPoint::new(seg.voltage, c_min))
-                        .v
-                })
-                .collect();
-            // A single-segment schedule lowers to the exact assignment a
-            // static slot gets — the constant-schedule ≡ static identity
-            // holds by construction, not by numerical luck.
-            let assign = if v_norms.len() == 1 {
-                VoltageAssign::Uniform(v_norms[0])
-            } else {
-                let boundaries: Vec<f64> = spec.schedule.segments[1..]
-                    .iter()
-                    .map(|s| s.t_start_ps)
-                    .collect();
-                VoltageAssign::Scheduled(Arc::new(NormalizedSchedule {
-                    v_norms,
-                    boundaries,
-                }))
-            };
-            scenario_work.push(SlotWork {
-                pattern: spec.pattern,
-                assign,
-                voltage: spec.schedule.segments[0].voltage,
-                variation: None,
-            });
-        }
-        let samples = mc.map_or(1, |m| m.samples);
-        let mut work = Vec::with_capacity(scenario_work.len() * samples);
-        for w in &scenario_work {
-            for s in 0..samples {
-                work.push(SlotWork {
-                    variation: mc.map(|m| VariationSample {
-                        config: m.variation,
-                        sample: s as u32,
-                    }),
-                    ..w.clone()
-                });
-            }
-        }
-        Ok((work, avfs_check::cap_findings(findings)))
+/// Lowers scenario `index`'s schedule into its voltage assignment,
+/// appending the schedule's repairable lint findings to `findings`.
+///
+/// Schedules with no lowering semantics — empty, non-finite, or
+/// non-increasing segment starts (`partition_point` needs a strictly
+/// sorted finite boundary list) — are refused with
+/// [`SimError::InvalidSchedule`] in *every* validation mode. The
+/// repairable findings — a first segment not anchored at `t = 0`
+/// (`AVC-N010`: lowering extends it back to the launch instant) and
+/// supplies outside the characterized `voltage_range` (`AVC-D006`: the
+/// kernel clamps them onto the boundary) — go through the mode-dependent
+/// launch validation instead. A single-segment schedule lowers to the
+/// exact assignment a static slot gets, so the constant-schedule ≡ static
+/// identity holds by construction, not by numerical luck.
+pub(crate) fn lower_schedule(
+    index: usize,
+    segments: &[Segment],
+    voltage_range: (f64, f64),
+    v_norm: impl Fn(f64) -> f64,
+    findings: &mut Vec<avfs_check::Finding>,
+) -> Result<VoltageAssign, SimError> {
+    let fatal = segments.is_empty()
+        || segments.iter().any(|s| !s.t_start_ps.is_finite())
+        || segments
+            .windows(2)
+            .any(|w| w[1].t_start_ps <= w[0].t_start_ps);
+    let pairs: Vec<(f64, f64)> = segments.iter().map(|s| (s.t_start_ps, s.voltage)).collect();
+    let location = format!("scenario {index}");
+    let shape = avfs_check::schedule::lint_schedule(&location, &pairs);
+    if fatal {
+        let first = shape.first().expect("fatal schedule has a lint finding");
+        return Err(SimError::InvalidSchedule {
+            slot: index,
+            message: first.message.clone(),
+        });
     }
+    findings.extend(shape);
+    findings.extend(avfs_check::schedule::lint_schedule_voltages(
+        &location,
+        &pairs,
+        voltage_range.0,
+        voltage_range.1,
+    ));
+    let v_norms: Vec<f64> = segments.iter().map(|seg| v_norm(seg.voltage)).collect();
+    Ok(if v_norms.len() == 1 {
+        VoltageAssign::Uniform(v_norms[0])
+    } else {
+        VoltageAssign::Scheduled(Arc::new(NormalizedSchedule {
+            v_norms,
+            boundaries: segments[1..].iter().map(|s| s.t_start_ps).collect(),
+        }))
+    })
+}
 
+impl CompiledNetlist {
     /// Simulates `scenarios` over `patterns`, each slot driven by its
     /// piecewise supply schedule, optionally expanded `mc.samples`-fold
     /// into Monte Carlo dice. The returned run carries one slot per die
@@ -433,33 +350,12 @@ impl CompiledNetlist {
         capture_deadline_ps: Option<f64>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        self.launch_scenarios_with(
-            patterns,
+        let grid = Grid::Scenarios {
             scenarios,
             mc,
             capture_deadline_ps,
-            options,
-            Exec::default(),
-        )
-    }
-
-    pub(crate) fn launch_scenarios_with(
-        &self,
-        patterns: &PatternSet,
-        scenarios: &[ScenarioSpec],
-        mc: Option<&MonteCarlo>,
-        capture_deadline_ps: Option<f64>,
-        options: &SimOptions,
-        mut exec: Exec<'_>,
-    ) -> Result<SimRun, SimError> {
-        let (work, findings) = self.prepare_scenarios(patterns, scenarios, mc)?;
-        let validation = match exec.prevalidated.take() {
-            Some(v) => v,
-            None => self.validate_launch_extra(options.strict_validation, &[], &findings)?,
         };
-        let mut run = self.run_work(patterns, &work, options, validation, &exec)?;
-        run.scenario = Some(summarize(&run.slots, mc, capture_deadline_ps));
-        Ok(run)
+        self.execute(patterns, grid, options, None)
     }
 }
 

@@ -1,23 +1,25 @@
 //! A lightweight per-run launch handle over a compiled artifact — the
 //! simulate-many half of the compile-once / simulate-many split.
 //!
-//! A [`Session`] binds an `Arc`-shared [`CompiledNetlist`] to a worker
-//! pool that is spawned **once** — at session construction — and parked
-//! across runs, instead of respawned per `run` as the legacy
-//! [`Engine::run`](crate::Engine::run) shim does. Repeated launches on a
-//! session therefore pay neither compile cost nor thread-spawn cost;
-//! only the launch itself.
+//! A [`Session`] binds an `Arc`-shared [`CompiledNetlist`] to worker
+//! threads that are spawned **once** — at session construction — and
+//! parked across runs, instead of spawned per call as a bare
+//! [`CompiledNetlist::launch`] does. Repeated launches on a session
+//! therefore pay neither compile cost nor thread-spawn cost; only the
+//! launch itself, through the same path every launch takes.
 //!
-//! Threads are resolved once, at pool construction. A per-run
+//! Threads are resolved once, at construction. A per-run
 //! [`SimOptions::threads`] override that disagrees with the pool is a
 //! hard [`SimError::ThreadMismatch`] — a parked pool cannot be resized
 //! mid-flight, and silently ignoring the override would make the same
-//! options behave differently on `Engine` and `Session`.
+//! options behave differently on a bare launch and on a `Session`.
 
 use crate::compile::CompiledNetlist;
-use crate::engine::{Exec, SimOptions};
-use crate::pool::WorkerPool;
+use crate::domains::{DomainSlotSpec, VoltageDomains};
+use crate::engine::{Grid, SimOptions};
+use crate::pool::Workers;
 use crate::results::SimRun;
+use crate::scenario::{MonteCarlo, ScenarioSpec};
 use crate::slots::SlotSpec;
 use crate::SimError;
 use avfs_atpg::PatternSet;
@@ -59,11 +61,7 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct Session {
     compiled: Arc<CompiledNetlist>,
-    /// The parked pool; `None` when `threads == 1` (a single-threaded
-    /// run executes inline on the caller, exactly like the engine).
-    pool: Option<WorkerPool>,
-    /// Worker count the pool was resolved to at construction.
-    threads: usize,
+    workers: Workers,
 }
 
 impl Session {
@@ -71,16 +69,9 @@ impl Session {
     /// now and parked across runs; `0` resolves to the machine's
     /// available parallelism once, here, rather than per run.
     pub fn new(compiled: Arc<CompiledNetlist>, threads: usize) -> Session {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
-        let pool = (threads > 1).then(|| WorkerPool::new(threads));
         Session {
             compiled,
-            pool,
-            threads,
+            workers: Workers::new(threads),
         }
     }
 
@@ -91,22 +82,7 @@ impl Session {
 
     /// The worker count resolved at construction.
     pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Checks a per-run thread override against the parked pool and
-    /// pins the effective options to the pool's count.
-    fn pin_threads(&self, options: &SimOptions) -> Result<SimOptions, SimError> {
-        if options.threads != 0 && options.threads != self.threads {
-            return Err(SimError::ThreadMismatch {
-                pool: self.threads,
-                requested: options.threads,
-            });
-        }
-        Ok(SimOptions {
-            threads: self.threads,
-            ..options.clone()
-        })
+        self.workers.threads()
     }
 
     /// Simulates `slots` over `patterns` on the parked pool. Semantics,
@@ -121,16 +97,8 @@ impl Session {
         slots: &[SlotSpec],
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let options = self.pin_threads(options)?;
-        self.compiled.launch_with(
-            patterns,
-            slots,
-            &options,
-            Exec {
-                pool: self.pool.as_ref(),
-                ..Exec::default()
-            },
-        )
+        self.compiled
+            .execute(patterns, Grid::Uniform(slots), options, Some(&self.workers))
     }
 
     /// Simulates with per-node voltage domains on the parked pool — see
@@ -138,21 +106,13 @@ impl Session {
     pub fn run_domains(
         &mut self,
         patterns: &PatternSet,
-        domains: &crate::domains::VoltageDomains,
-        specs: &[crate::domains::DomainSlotSpec],
+        domains: &VoltageDomains,
+        specs: &[DomainSlotSpec],
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let options = self.pin_threads(options)?;
-        self.compiled.launch_domains_with(
-            patterns,
-            domains,
-            specs,
-            &options,
-            Exec {
-                pool: self.pool.as_ref(),
-                ..Exec::default()
-            },
-        )
+        let grid = Grid::Domains(domains, specs);
+        self.compiled
+            .execute(patterns, grid, options, Some(&self.workers))
     }
 
     /// Simulates piecewise-scheduled scenarios (optionally Monte Carlo
@@ -161,23 +121,18 @@ impl Session {
     pub fn run_scenarios(
         &mut self,
         patterns: &PatternSet,
-        scenarios: &[crate::scenario::ScenarioSpec],
-        mc: Option<&crate::scenario::MonteCarlo>,
+        scenarios: &[ScenarioSpec],
+        mc: Option<&MonteCarlo>,
         capture_deadline_ps: Option<f64>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let options = self.pin_threads(options)?;
-        self.compiled.launch_scenarios_with(
-            patterns,
+        let grid = Grid::Scenarios {
             scenarios,
             mc,
             capture_deadline_ps,
-            &options,
-            Exec {
-                pool: self.pool.as_ref(),
-                ..Exec::default()
-            },
-        )
+        };
+        self.compiled
+            .execute(patterns, grid, options, Some(&self.workers))
     }
 
     /// Cross-validates a finished uniform-voltage run of this session's

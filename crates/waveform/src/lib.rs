@@ -41,7 +41,7 @@ pub mod vcd;
 
 pub use activity::{SwitchingActivity, WaveformStats};
 pub use arena::{ArenaPartition, LevelWriter, OverflowHook, WaveformArena, WaveformView};
-pub use lanes::{LaneLayout, LaneWindow};
+pub use lanes::LaneLayout;
 
 use std::error::Error;
 use std::fmt;

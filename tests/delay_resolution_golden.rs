@@ -17,8 +17,8 @@ use avfs::delay::{
 use avfs::inject::{FaultPlan, InjectionSite};
 use avfs::netlist::{CellLibrary, Netlist, NodeKind};
 use avfs::sim::{
-    cross, cross_schedules, DomainSlotSpec, Engine, MonteCarlo, Schedule, SimOptions, SimRun,
-    VoltageDomains,
+    cross, cross_schedules, CompiledNetlist, DomainSlotSpec, MonteCarlo, Schedule, SimOptions,
+    SimRun, VoltageDomains,
 };
 use avfs::waveform::PinDelays;
 use std::sync::Arc;
@@ -112,7 +112,7 @@ fn polynomial_model(library: &CellLibrary) -> PolynomialModel {
 
 /// A deep random netlist with per-pin nominal delays and loads spread
 /// across the characterized load interval.
-fn golden_engine() -> (Arc<Netlist>, Engine) {
+fn golden_engine() -> (Arc<Netlist>, CompiledNetlist) {
     let library = CellLibrary::nangate15_like();
     let cfg = GeneratorConfig {
         nodes: 260,
@@ -136,7 +136,7 @@ fn golden_engine() -> (Arc<Netlist>, Engine) {
         }
         ann.set_load_ff(id, c_lo + (c_hi - c_lo) * ((n * 37) % 101) as f64 / 100.0);
     }
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::new(ann),
         Arc::new(polynomial_model(&library)),
@@ -172,7 +172,7 @@ fn uniform_multi_voltage_launch() {
     let (netlist, engine) = golden_engine();
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 6, 3);
     let slots = cross(patterns.len(), &[0.55, 0.62, 0.7, 0.8, 0.95, 1.1]);
-    let run = engine.run(&patterns, &slots, &options()).expect("runs");
+    let run = engine.launch(&patterns, &slots, &options()).expect("runs");
     check("uniform", &run, 0x771f_35f7_a7b7_e0c5);
 }
 
@@ -182,7 +182,7 @@ fn droop_schedule_launch() {
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 6, 5);
     let scenarios = cross_schedules(patterns.len(), &droop_schedules());
     let run = engine
-        .run_scenarios(&patterns, &scenarios, None, None, &options())
+        .launch_scenarios(&patterns, &scenarios, None, None, &options())
         .expect("runs");
     check("droop", &run, 0x6052_540e_dcd8_6de2);
 }
@@ -200,7 +200,7 @@ fn monte_carlo_dice_across_two_schedules() {
         variation: VariationConfig::sigma5(41),
     };
     let run = engine
-        .run_scenarios(&patterns, &scenarios, Some(&mc), None, &options())
+        .launch_scenarios(&patterns, &scenarios, Some(&mc), None, &options())
         .expect("runs");
     check("monte carlo", &run, 0x6933_7ad9_2f3d_a2e2);
 }
@@ -220,7 +220,7 @@ fn voltage_island_launch() {
         })
         .collect();
     let run = engine
-        .run_domains(&patterns, &domains, &specs, &options())
+        .launch_domains(&patterns, &domains, &specs, &options())
         .expect("runs");
     check("islands", &run, 0x9505_380a_13e1_b2e4);
 }
@@ -232,7 +232,7 @@ fn non_finite_kernel_fault_plan() {
     let slots = cross(patterns.len(), &[0.6, 0.8, 1.0]);
     let plan = FaultPlan::empty(77).with_rate(InjectionSite::NonFiniteKernel, 0.4);
     let run = engine
-        .run(
+        .launch(
             &patterns,
             &slots,
             &SimOptions {
@@ -255,7 +255,7 @@ fn zero_rate_armed_plan() {
         variation: VariationConfig::sigma5(3),
     };
     let run = engine
-        .run_scenarios(
+        .launch_scenarios(
             &patterns,
             &scenarios,
             Some(&mc),

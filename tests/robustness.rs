@@ -10,7 +10,10 @@ use avfs::delay::op::NormalizedPoint;
 use avfs::delay::{DelayError, ParameterSpace, StaticModel, TimingAnnotation};
 use avfs::netlist::library::Polarity;
 use avfs::netlist::{CellId, CellLibrary, Netlist, NetlistBuilder, NodeKind};
-use avfs::sim::{slots, Engine, EventDrivenSimulator, SimError, SimOptions, SimRun, SlotStatus};
+use avfs::sim::{
+    slots, CompiledNetlist, DomainSlotSpec, EventDrivenSimulator, Session, SimError, SimOptions,
+    SimRun, SlotStatus, VoltageDomains,
+};
 use avfs::waveform::PinDelays;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -63,7 +66,7 @@ fn glitch_cascade(stages: usize) -> Arc<Netlist> {
 fn overflow_quarantine_retries_until_result_matches_oracle() {
     let netlist = glitch_cascade(3);
     let annotation = Arc::new(static_annotation(&netlist, 7.0, 5.0));
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::clone(&annotation),
         Arc::new(StaticModel::new(ParameterSpace::paper())),
@@ -80,7 +83,7 @@ fn overflow_quarantine_retries_until_result_matches_oracle() {
         arena_capacity: 2, // deliberately too small for the cascade
         ..SimOptions::default()
     };
-    let run = engine.run(&patterns, &specs, &opts).unwrap();
+    let run = engine.launch(&patterns, &specs, &opts).unwrap();
 
     // The slot overflowed, was quarantined and completed on a retry.
     assert!(run.is_complete());
@@ -142,7 +145,7 @@ fn panicked_slot_is_quarantined_while_others_match_oracle() {
     };
     let netlist = Arc::new(random_netlist("rnd", &cfg, &lib, 23).unwrap());
     let annotation = Arc::new(static_annotation(&netlist, 9.0, 11.0));
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::clone(&annotation),
         Arc::new(PanickyModel {
@@ -165,7 +168,7 @@ fn panicked_slot_is_quarantined_while_others_match_oracle() {
         keep_waveforms: true,
         ..SimOptions::default()
     };
-    let run = engine.run(&patterns, &specs, &opts).unwrap();
+    let run = engine.launch(&patterns, &specs, &opts).unwrap();
 
     assert!(!run.is_complete());
     assert_eq!(run.diagnostics.panicked_slots, poisoned);
@@ -193,7 +196,7 @@ fn panicked_slot_is_quarantined_while_others_match_oracle() {
 fn every_slot_poisoned_is_a_run_error() {
     let netlist = glitch_cascade(1);
     let annotation = Arc::new(static_annotation(&netlist, 3.0, 3.0));
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         annotation,
         Arc::new(PanickyModel {
@@ -205,10 +208,92 @@ fn every_slot_poisoned_is_a_run_error() {
         PatternPair::new(Pattern::from_bits([true]), Pattern::from_bits([false])).unwrap(),
     )
     .collect();
-    match engine.run(&patterns, &slots::cross(1, &[1.1]), &SimOptions::default()) {
+    match engine.launch(&patterns, &slots::cross(1, &[1.1]), &SimOptions::default()) {
         Err(SimError::AllSlotsFailed { slots: 1 }) => {}
         other => panic!("expected AllSlotsFailed, got {other:?}"),
     }
+}
+
+/// A voltage-island launch refuses exactly what a uniform launch
+/// refuses: a non-finite, negative or zero domain supply is
+/// `InvalidOperatingPoint` (not a run on a clamped supply), and a pattern
+/// narrower than the netlist's inputs is `PatternWidth` (not a panic
+/// while stimuli are written) — on a bare launch and on a session alike.
+#[test]
+fn domain_launch_refuses_what_a_uniform_launch_refuses() {
+    let lib = CellLibrary::nangate15_like();
+    let netlist = Arc::new(avfs::circuits::ripple_carry_adder(2, &lib).unwrap());
+    let compiled = Arc::new(
+        CompiledNetlist::compile(
+            Arc::clone(&netlist),
+            Arc::new(static_annotation(&netlist, 4.0, 3.0)),
+            Arc::new(StaticModel::new(ParameterSpace::paper())),
+        )
+        .unwrap(),
+    );
+    let domains = VoltageDomains::by_output_cones(&netlist, 2);
+    assert_eq!(domains.count(), 2);
+    let width = netlist.inputs().len();
+    let patterns = PatternSet::lfsr(width, 2, 3);
+    let mut session = Session::new(Arc::clone(&compiled), 2);
+    let opts = SimOptions::default();
+    for bad in [f64::NAN, f64::INFINITY, -0.8, 0.0] {
+        let uniform = compiled.launch(&patterns, &slots::cross(2, &[0.8, bad]), &opts);
+        assert!(
+            matches!(
+                uniform,
+                Err(SimError::InvalidOperatingPoint { slot: 2, .. })
+            ),
+            "uniform {bad}: {uniform:?}"
+        );
+        let specs = [
+            DomainSlotSpec {
+                pattern: 0,
+                voltages: vec![0.8, 0.8],
+            },
+            DomainSlotSpec {
+                pattern: 1,
+                voltages: vec![0.8, bad],
+            },
+        ];
+        let bare = compiled.launch_domains(&patterns, &domains, &specs, &opts);
+        let parked = session.run_domains(&patterns, &domains, &specs, &opts);
+        for run in [bare, parked] {
+            match run {
+                Err(SimError::InvalidOperatingPoint { slot: 1, voltage }) => {
+                    assert_eq!(voltage.to_bits(), bad.to_bits());
+                }
+                other => panic!("domains {bad}: expected InvalidOperatingPoint, got {other:?}"),
+            }
+        }
+    }
+    let narrow = PatternSet::lfsr(width - 1, 2, 3);
+    let narrow_error = SimError::PatternWidth {
+        expected: width,
+        got: width - 1,
+    };
+    let specs = [DomainSlotSpec {
+        pattern: 0,
+        voltages: vec![0.8, 0.7],
+    }];
+    assert_eq!(
+        compiled
+            .launch(&narrow, &slots::at_voltage(1, 0.8), &opts)
+            .unwrap_err(),
+        narrow_error
+    );
+    assert_eq!(
+        compiled
+            .launch_domains(&narrow, &domains, &specs, &opts)
+            .unwrap_err(),
+        narrow_error
+    );
+    assert_eq!(
+        session
+            .run_domains(&narrow, &domains, &specs, &opts)
+            .unwrap_err(),
+        narrow_error
+    );
 }
 
 /// Panics for one cell type at the poisoned 1.1 V operating point only.
@@ -262,7 +347,7 @@ fn delay_panic_on_a_deep_level_spares_a_slot_that_overflowed_earlier() {
     let deep = b.add_gate("deep", "NAND2_X1", &[cur, a]).unwrap();
     b.add_output("y", deep).unwrap();
     let netlist = Arc::new(b.finish().unwrap());
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::new(static_annotation(&netlist, 3.0, 3.0)),
         Arc::new(CellPanicModel {
@@ -284,7 +369,7 @@ fn delay_panic_on_a_deep_level_spares_a_slot_that_overflowed_earlier() {
     };
     let specs = [(0, 1.1), (1, 0.8)];
     let uniform = engine
-        .run(
+        .launch(
             &patterns,
             &specs
                 .iter()
@@ -294,7 +379,7 @@ fn delay_panic_on_a_deep_level_spares_a_slot_that_overflowed_earlier() {
         )
         .unwrap();
     let islands = engine
-        .run_domains(
+        .launch_domains(
             &patterns,
             &VoltageDomains::single(&netlist),
             &specs
@@ -308,7 +393,7 @@ fn delay_panic_on_a_deep_level_spares_a_slot_that_overflowed_earlier() {
         )
         .unwrap();
     let armed = engine
-        .run(
+        .launch(
             &patterns,
             &uniform.slots.iter().map(|s| s.spec).collect::<Vec<_>>(),
             &SimOptions {
@@ -340,10 +425,10 @@ fn delay_panic_on_a_deep_level_spares_a_slot_that_overflowed_earlier() {
 /// A fixed engine + stimuli pair for the fault-plan property below: a
 /// glitchy netlist (so injected overflows and retries actually bite)
 /// with static delays and eight mixed-voltage slots.
-fn chaos_fixture() -> (Engine, PatternSet, Vec<slots::SlotSpec>) {
+fn chaos_fixture() -> (CompiledNetlist, PatternSet, Vec<slots::SlotSpec>) {
     let netlist = glitch_cascade(3);
     let annotation = Arc::new(static_annotation(&netlist, 4.0, 6.0));
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         annotation,
         Arc::new(StaticModel::new(ParameterSpace::paper())),
@@ -374,7 +459,7 @@ proptest! {
         use avfs::inject::{FaultPlan, InjectionSite};
         let (engine, patterns, specs) = chaos_fixture();
         let run = |plan: Arc<FaultPlan>| {
-            engine.run(
+            engine.launch(
                 &patterns,
                 &specs,
                 &SimOptions {
