@@ -617,7 +617,6 @@ pub fn characterize_library_injected(
     let mut nominal: Vec<Option<Vec<[NominalCurve; 2]>>> =
         (0..library.len()).map(|_| None).collect();
     let mut reports = Vec::with_capacity(selected.len());
-    let _basis = PolyBasis::new(config.order);
 
     // Index of the nominal voltage within the sweep.
     let nom_idx = config

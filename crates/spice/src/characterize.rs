@@ -3,7 +3,7 @@
 
 use crate::mosfet::Mosfet;
 use crate::technology::Technology;
-use crate::transient::{simulate_stage, Stage};
+use crate::transient::{simulate_stage, Stage, TransientResult};
 use crate::SpiceError;
 use avfs_netlist::library::{Cell, Polarity};
 
@@ -40,9 +40,22 @@ pub fn pin_delay_ps(
     vdd: f64,
     c_load_ff: f64,
 ) -> Result<f64, SpiceError> {
+    pin_transient(tech, cell, pin, polarity, vdd, c_load_ff).map(|r| r.delay_ps)
+}
+
+/// [`pin_delay_ps`] with the RK4 steps of every stage it simulated: the
+/// delay is the sum of the stage delays, the steps the sum of their steps.
+pub(crate) fn pin_transient(
+    tech: &Technology,
+    cell: &Cell,
+    pin: usize,
+    polarity: Polarity,
+    vdd: f64,
+    c_load_ff: f64,
+) -> Result<TransientResult, SpiceError> {
     let drive = cell.pin_drive(pin, polarity);
     let out_cap = c_load_ff + cell.parasitic_cap_ff();
-    let mut total = output_stage_delay_ps(
+    let mut total = stage_transient(
         tech,
         drive.width,
         drive.stack,
@@ -63,7 +76,7 @@ pub fn pin_delay_ps(
         let internal_cap = (0.8 * cell.parasitic_cap_ff()).max(0.2);
         // The internal stage runs at ~70 % of the cell's drive (first
         // stage devices are smaller).
-        total += output_stage_delay_ps(
+        let first = stage_transient(
             tech,
             0.7 * drive.width.max(0.5),
             drive.stack,
@@ -72,12 +85,14 @@ pub fn pin_delay_ps(
             vdd,
             internal_cap,
         )?;
+        total.delay_ps += first.delay_ps;
+        total.steps += first.steps;
     }
     Ok(total)
 }
 
-/// Delay of a single equivalent stage, ps.
-fn output_stage_delay_ps(
+/// Transient of a single equivalent stage.
+fn stage_transient(
     tech: &Technology,
     width: f64,
     stack: u8,
@@ -85,7 +100,7 @@ fn output_stage_delay_ps(
     polarity: Polarity,
     vdd: f64,
     cap_ff: f64,
-) -> Result<f64, SpiceError> {
+) -> Result<TransientResult, SpiceError> {
     // Body effect: threshold rises with stack depth.
     let vth_scale = 1.0 + tech.stack_vth_derate * (stack.saturating_sub(1)) as f64;
     // Internal-node charging: current derates with switching-pin position.
@@ -100,7 +115,7 @@ fn output_stage_delay_ps(
             ..Mosfet::pmos(tech, width_eff)
         },
     };
-    let result = simulate_stage(
+    simulate_stage(
         tech,
         &Stage {
             device,
@@ -108,8 +123,7 @@ fn output_stage_delay_ps(
             vdd,
             slew_ps: tech.input_slew_ps,
         },
-    )?;
-    Ok(result.delay_ps)
+    )
 }
 
 #[cfg(test)]

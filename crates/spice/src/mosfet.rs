@@ -59,12 +59,20 @@ impl Mosfet {
     /// magnitudes: `vgs` is `|V_gs|` and `vds` is `|V_ds|`.
     ///
     /// Returns 0 in cut-off (`vgs ≤ vth`). Negative inputs are clamped.
+    /// This is [`Mosfet::current_at`] of [`Mosfet::drive`].
     pub fn drain_current(&self, tech: &Technology, vgs: f64, vds: f64) -> f64 {
-        let vgs = vgs.max(0.0);
-        let vds = vds.max(0.0);
-        let vov = vgs - self.vth;
-        if vov <= 0.0 || vds == 0.0 {
-            return 0.0;
+        Mosfet::current_at(self.drive(tech, vgs), vds)
+    }
+
+    /// The gate drive at `|V_gs| = vgs`: `(I_dsat, V_dsat)` in µA and V, or
+    /// `None` in cut-off (`vgs ≤ vth`). A negative `vgs` is clamped to 0.
+    ///
+    /// The drive holds both of the model's `powf`s and depends only on
+    /// `vgs`, so a transient whose input is settled can reuse it.
+    pub fn drive(&self, tech: &Technology, vgs: f64) -> Option<(f64, f64)> {
+        let vov = vgs.max(0.0) - self.vth;
+        if vov <= 0.0 {
+            return None;
         }
         let k = match self.device {
             DeviceType::Nmos => tech.k_n,
@@ -72,7 +80,20 @@ impl Mosfet {
         };
         let idsat = self.width * k * vov.powf(tech.alpha);
         let vdsat = tech.k_sat * vov.powf(tech.alpha / 2.0);
-        if vds >= vdsat {
+        Some((idsat, vdsat))
+    }
+
+    /// Drain current in µA at `|V_ds| = vds` for a gate `drive` from
+    /// [`Mosfet::drive`]: 0 in cut-off or at `vds ≤ 0`, `I_dsat` in
+    /// saturation and the parabolic profile below `V_dsat`.
+    pub fn current_at(drive: Option<(f64, f64)>, vds: f64) -> f64 {
+        let vds = vds.max(0.0);
+        let Some((idsat, vdsat)) = drive else {
+            return 0.0;
+        };
+        if vds == 0.0 {
+            0.0
+        } else if vds >= vdsat {
             idsat
         } else {
             let x = vds / vdsat;
@@ -155,7 +176,66 @@ mod tests {
         assert!(p.saturation_current(&t, 0.8) < n.saturation_current(&t, 0.8));
     }
 
+    /// The single-body α-power formula the drive/current split replaced,
+    /// kept verbatim as the bitwise reference.
+    fn reference_drain_current(m: &Mosfet, tech: &Technology, vgs: f64, vds: f64) -> f64 {
+        let vgs = vgs.max(0.0);
+        let vds = vds.max(0.0);
+        let vov = vgs - m.vth;
+        if vov <= 0.0 || vds == 0.0 {
+            return 0.0;
+        }
+        let k = match m.device {
+            DeviceType::Nmos => tech.k_n,
+            DeviceType::Pmos => tech.k_p,
+        };
+        let idsat = m.width * k * vov.powf(tech.alpha);
+        let vdsat = tech.k_sat * vov.powf(tech.alpha / 2.0);
+        if vds >= vdsat {
+            idsat
+        } else {
+            let x = vds / vdsat;
+            idsat * (2.0 - x) * x
+        }
+    }
+
+    #[test]
+    fn split_matches_reference_at_edges() {
+        let t = tech();
+        for m in [Mosfet::nmos(&t, 1.0), Mosfet::pmos(&t, 2.5)] {
+            for vgs in [-1.0, -0.0, 0.0, m.vth, m.vth + 1e-12, 0.8, 1.1, 1e3] {
+                for vds in [-1.0, -0.0, 0.0, 1e-300, 0.05, 0.4, 1.1, 1e3] {
+                    assert_eq!(
+                        m.drain_current(&t, vgs, vds).to_bits(),
+                        reference_drain_current(&m, &t, vgs, vds).to_bits(),
+                        "vgs {vgs} vds {vds}"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn split_is_bit_identical_to_reference(
+            vgs in -0.5f64..1.5, vds in -0.5f64..1.5, w in 0.1f64..8.0,
+            pmos in any::<bool>(), zero_vds in any::<bool>(), hot in any::<bool>(),
+        ) {
+            let t = if hot { tech().at_temperature(85.0) } else { tech() };
+            let m = if pmos { Mosfet::pmos(&t, w) } else { Mosfet::nmos(&t, w) };
+            let vds = if zero_vds { 0.0 } else { vds };
+            let drive = m.drive(&t, vgs);
+            prop_assert_eq!(drive.is_none(), vgs - m.vth <= 0.0);
+            prop_assert_eq!(
+                Mosfet::current_at(drive, vds).to_bits(),
+                reference_drain_current(&m, &t, vgs, vds).to_bits()
+            );
+            prop_assert_eq!(
+                m.drain_current(&t, vgs, vds).to_bits(),
+                reference_drain_current(&m, &t, vgs, vds).to_bits()
+            );
+        }
+
         #[test]
         fn current_monotone_in_vgs(
             vgs1 in 0.3f64..1.2, vgs2 in 0.3f64..1.2, vds in 0.01f64..1.2,

@@ -5,7 +5,7 @@
 //! sweep is `V_DD ∈ [0.55 V, 1.1 V]` in 0.05 V steps (nominal 0.8 V) with
 //! loads `2^i fF, i = −1 … 7`; [`SweepConfig::paper`] reproduces it.
 
-use crate::characterize::pin_delay_ps;
+use crate::characterize::pin_transient;
 use crate::technology::Technology;
 use crate::SpiceError;
 use avfs_netlist::library::{Cell, Polarity};
@@ -164,9 +164,10 @@ pub fn sweep_pin(
 }
 
 /// [`sweep_pin`] with optional instrumentation: when `metrics` is
-/// present, each call records the phase `"spice/sweep"` and adds the
+/// present, each call records the phase `"spice/sweep"`, adds the
 /// number of simulated grid points to the `"spice.transient_points"`
-/// counter.
+/// counter and the RK4 steps integrated for them to
+/// `"spice.transient_steps"`.
 ///
 /// # Errors
 ///
@@ -182,13 +183,17 @@ pub fn sweep_pin_metered(
     let span = metrics.map(|m| m.span("spice/sweep"));
     config.validate()?;
     let mut delays_ps = Vec::with_capacity(config.voltages.len() * config.loads_ff.len());
+    let mut steps = 0u64;
     for &v in &config.voltages {
         for &c in &config.loads_ff {
-            delays_ps.push(pin_delay_ps(tech, cell, pin, polarity, v, c)?);
+            let r = pin_transient(tech, cell, pin, polarity, v, c)?;
+            delays_ps.push(r.delay_ps);
+            steps += r.steps;
         }
     }
     if let Some(m) = metrics {
         m.add("spice.transient_points", delays_ps.len() as u64);
+        m.add("spice.transient_steps", steps);
     }
     if let Some(span) = span {
         span.finish();

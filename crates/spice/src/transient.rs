@@ -10,6 +10,9 @@
 //! from the stage time constant, and measures the propagation delay as the
 //! time between the input and output 50 % crossings — the standard
 //! `.MEASURE TRIG v(in) VAL=vdd/2 TARG v(out) VAL=vdd/2` of a SPICE deck.
+//! The integration stops on the step that crosses the output 50 % mark:
+//! nothing after it can move the measurement, so the tail toward the rail
+//! is never simulated and no output slew is measured.
 
 use crate::mosfet::{DeviceType, Mosfet};
 use crate::technology::Technology;
@@ -33,27 +36,42 @@ pub struct Stage {
 pub struct TransientResult {
     /// 50 %-to-50 % propagation delay, ps.
     pub delay_ps: f64,
-    /// Output 10 %–90 % transition time, ps.
-    pub output_slew_ps: f64,
+    /// RK4 steps integrated, the last being the one that crossed the
+    /// output 50 % mark.
+    pub steps: u64,
 }
 
 /// µA / fF → V/ps conversion: 1 µA into 1 fF slews 1 V per ns = 1e-3 V/ps.
 const UA_PER_FF_TO_V_PER_PS: f64 = 1.0e-3;
+
+/// Step budget: enough for very slow near-threshold corners.
+const MAX_STEPS: u64 = 4_000_000;
+
+/// The RK4 step of `stage`, ps: 1/400 of the stage time constant at full
+/// drive, at most 1/40 of the input ramp, at least 1e-4 ps.
+fn step_ps(tech: &Technology, stage: &Stage) -> f64 {
+    let i_full = stage.device.saturation_current(tech, stage.vdd).max(1e-9);
+    let tau_ps = stage.cap_ff * stage.vdd / (i_full * UA_PER_FF_TO_V_PER_PS);
+    (tau_ps / 400.0)
+        .min(stage.slew_ps.max(0.1) / 40.0)
+        .max(1e-4)
+}
 
 /// Runs a transient analysis of `stage` and measures the propagation delay.
 ///
 /// The output starts at the opposite rail and is driven toward the target
 /// rail by the conducting device while the input ramps linearly across the
 /// supply. For an NMOS stage the output falls from `vdd` to 0; for a PMOS
-/// stage it rises from 0 to `vdd`.
+/// stage it rises from 0 to `vdd`. The run ends on the step whose output
+/// crosses `vdd/2`; the crossing time is interpolated linearly within it.
 ///
 /// # Errors
 ///
 /// * [`SpiceError::InvalidOperatingPoint`] if `vdd` is at or below the
 ///   device threshold (the stage would never switch) or parameters are
 ///   non-finite/non-positive.
-/// * [`SpiceError::NoConvergence`] if the integration budget is exhausted
-///   before the measurement crossings (pathological configurations only).
+/// * [`SpiceError::NoConvergence`] if the output 50 % crossing is not
+///   reached within the step budget (pathological configurations only).
 pub fn simulate_stage(tech: &Technology, stage: &Stage) -> Result<TransientResult, SpiceError> {
     let vdd = stage.vdd;
     if !vdd.is_finite() || !stage.cap_ff.is_finite() || stage.cap_ff <= 0.0 {
@@ -87,29 +105,31 @@ pub fn simulate_stage(tech: &Technology, stage: &Stage) -> Result<TransientResul
         }
     };
 
-    // Step size from the stage time constant at full drive.
-    let i_full = stage.device.saturation_current(tech, vdd).max(1e-9);
-    let tau_ps = stage.cap_ff * vdd / (i_full * UA_PER_FF_TO_V_PER_PS);
-    let dt = (tau_ps / 400.0)
-        .min(stage.slew_ps.max(0.1) / 40.0)
-        .max(1e-4);
-    // Budget: enough for very slow near-threshold corners.
-    let max_steps = 4_000_000usize;
+    let dt = step_ps(tech, stage);
 
     // State: output voltage. vds magnitude is |V_out − conducting rail|.
     let mut v_out = if falling { vdd } else { 0.0 };
     let mut t = 0.0f64;
 
-    // Measurement bookkeeping.
-    let mut t_out_cross = None;
-    let mut t_10 = None;
-    let mut t_90 = None;
-    let (lo_mark, hi_mark) = (0.1 * vdd, 0.9 * vdd);
-
-    let dv_dt = |t: f64, v: f64| -> f64 {
+    // The gate drives of the last two distinct |Vgs| values, keyed by their
+    // bits, oldest first. RK4 evaluates the ramp at t, twice at t + dt/2
+    // and at t + dt, which is the next step's t, so two entries halve the
+    // drive evaluations during the ramp; once the input has settled at the
+    // rail every lookup hits.
+    let vgs_0 = vgs_at(t);
+    let mut memo = [(vgs_0.to_bits(), stage.device.drive(tech, vgs_0)); 2];
+    let mut dv_dt = |t: f64, v: f64| -> f64 {
         let vgs = vgs_at(t);
+        let drive = match memo.iter().find(|(key, _)| *key == vgs.to_bits()) {
+            Some(&(_, drive)) => drive,
+            None => {
+                let drive = stage.device.drive(tech, vgs);
+                memo = [memo[1], (vgs.to_bits(), drive)];
+                drive
+            }
+        };
         let vds = if falling { v } else { vdd - v };
-        let i = stage.device.drain_current(tech, vgs, vds);
+        let i = Mosfet::current_at(drive, vds);
         let slope = i * UA_PER_FF_TO_V_PER_PS / stage.cap_ff;
         if falling {
             -slope
@@ -118,15 +138,7 @@ pub fn simulate_stage(tech: &Technology, stage: &Stage) -> Result<TransientResul
         }
     };
 
-    let target_reached = |v: f64| -> bool {
-        if falling {
-            v <= 0.02 * vdd
-        } else {
-            v >= 0.98 * vdd
-        }
-    };
-
-    for step in 0..max_steps {
+    for step in 1..=MAX_STEPS {
         let v_prev = v_out;
         let t_prev = t;
         // Classic RK4.
@@ -138,55 +150,26 @@ pub fn simulate_stage(tech: &Technology, stage: &Stage) -> Result<TransientResul
         v_out = v_out.clamp(0.0, vdd);
         t += dt;
 
-        // Record threshold crossings with linear interpolation.
-        let crossed = |mark: f64, slot: &mut Option<f64>| {
-            if slot.is_none() {
-                let before = if falling {
-                    v_prev > mark
-                } else {
-                    v_prev < mark
-                };
-                let after = if falling {
-                    v_out <= mark
-                } else {
-                    v_out >= mark
-                };
-                if before && after {
-                    let frac = if (v_out - v_prev).abs() < 1e-15 {
-                        1.0
-                    } else {
-                        (mark - v_prev) / (v_out - v_prev)
-                    };
-                    *slot = Some(t_prev + frac.clamp(0.0, 1.0) * dt);
-                }
-            }
-        };
-        crossed(v_half, &mut t_out_cross);
-        if falling {
-            crossed(hi_mark, &mut t_90);
-            crossed(lo_mark, &mut t_10);
+        // The output 50 % crossing, interpolated linearly within the step.
+        let crossed = if falling {
+            v_prev > v_half && v_out <= v_half
         } else {
-            crossed(lo_mark, &mut t_10);
-            crossed(hi_mark, &mut t_90);
-        }
-
-        if target_reached(v_out) && t_out_cross.is_some() {
-            break;
-        }
-        if step == max_steps - 1 {
-            return Err(SpiceError::NoConvergence { reached_ps: t });
+            v_prev < v_half && v_out >= v_half
+        };
+        if crossed {
+            let frac = if (v_out - v_prev).abs() < 1e-15 {
+                1.0
+            } else {
+                (v_half - v_prev) / (v_out - v_prev)
+            };
+            let t_out = t_prev + frac.clamp(0.0, 1.0) * dt;
+            return Ok(TransientResult {
+                delay_ps: t_out - t_in_cross,
+                steps: step,
+            });
         }
     }
-
-    let t_out = t_out_cross.ok_or(SpiceError::NoConvergence { reached_ps: t })?;
-    let slew = match (t_10, t_90) {
-        (Some(a), Some(b)) => (b - a).abs(),
-        _ => 0.0,
-    };
-    Ok(TransientResult {
-        delay_ps: t_out - t_in_cross,
-        output_slew_ps: slew,
-    })
+    Err(SpiceError::NoConvergence { reached_ps: t })
 }
 
 #[cfg(test)]
@@ -220,7 +203,27 @@ mod tests {
             "nominal fall delay {} ps outside plausible range",
             r.delay_ps
         );
-        assert!(r.output_slew_ps > 0.0);
+    }
+
+    #[test]
+    fn run_ends_on_the_crossing_step() {
+        let t = tech();
+        for s in [
+            stage(0.8, 2.0, 1.0, true),
+            stage(0.55, 128.0, 0.5, false),
+            stage(1.1, 0.5, 4.0, true),
+        ] {
+            let r = simulate_stage(&t, &s).unwrap();
+            assert_eq!(simulate_stage(&t, &s).unwrap(), r, "deterministic");
+            let dt = step_ps(&t, &s);
+            let t_cross = r.delay_ps + s.slew_ps / 2.0;
+            let overshoot = r.steps as f64 * dt - t_cross;
+            assert!(
+                overshoot < dt && overshoot > -1e-9 * t_cross,
+                "{} steps of {dt} ps end {overshoot} ps after the crossing at {t_cross} ps",
+                r.steps
+            );
+        }
     }
 
     #[test]
